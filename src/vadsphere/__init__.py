@@ -7,7 +7,6 @@ analysis reports. See the CLI (`vadsphere --help`) for the file-based
 workflow.
 """
 
-from ._kernels import USING_NUMBA
 from .analysis import (
     AnalysisCell,
     AnalysisReport,
@@ -77,7 +76,6 @@ from .prosody import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "USING_NUMBA",
     "AnalysisCell",
     "AnalysisReport",
     "AngleVector",

@@ -1,48 +1,40 @@
-"""Hot numeric kernels, compiled with numba when available.
+"""Hot numeric kernels of the centroid search and the pitch tracker.
 
-Two implementations exist for every kernel: a numba ``@njit`` version and a
-pure-numpy version. The numpy path is selected when numba is not importable
-or when the environment variable ``VADSPHERE_NO_NUMBA`` is set to a truthy
-value (``1``, ``true``, ``yes``, ``on``). ``benchmarks/bench_kernels.py``
-times both paths side by side.
+- ``distance_ratio``: the centroid objective at one candidate center, the
+  mean Euclidean distance to the emotion's points over the mean distance to
+  the neutral points (plus a guard epsilon).
+- ``grid_objective_values``: the same objective at every point of a cubic
+  lattice, in C order; the exhaustive oracle behind ``grid_search_centroid``.
+- ``yin_difference``: the squared difference function d(tau) of YIN
+  (de Cheveigne & Kawahara 2002) for a batch of frames, via FFT correlation.
 
-Within one process a single path is active for all callers, so repeated runs
-are bit-reproducible. The two paths may differ in the last few ulps (FFT vs
-time-domain correlation, BLAS vs loop summation); every consumer tolerance
-is orders of magnitude wider.
+``centroid`` and ``prosody`` call them as ``_kernels.<name>``, so wrapping a
+module attribute reaches every call; the traced benchmark run counts
+objective evaluations that way.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-ENV_FLAG = "VADSPHERE_NO_NUMBA"
+# Read by perfbench/traced.py for its kernels.using_numba label; always False.
+USING_NUMBA = False
 
-# Lattice rows per chunk in the numpy grid scan; keeps the (chunk, n_points)
+# Lattice rows per chunk in the grid scan; keeps the (chunk, n_points)
 # distance matrix around 100 MB at 500 points/class.
 _GRID_CHUNK = 32768
 
 
-def _numba_disabled() -> bool:
-    return os.environ.get(ENV_FLAG, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-def distance_ratio_numpy(m: np.ndarray, targets: np.ndarray,
-                         neutrals: np.ndarray, eps: float) -> float:
+def distance_ratio(m: np.ndarray, targets: np.ndarray,
+                   neutrals: np.ndarray, eps: float) -> float:
     """Mean distance to targets over mean distance to neutrals (plus eps)."""
     dist_t = np.sqrt(((targets - m) ** 2).sum(axis=1)).mean()
     dist_n = np.sqrt(((neutrals - m) ** 2).sum(axis=1)).mean()
     return float(dist_t / (dist_n + eps))
 
 
-def grid_objective_values_numpy(axis: np.ndarray, targets: np.ndarray,
-                                neutrals: np.ndarray, eps: float) -> np.ndarray:
+def grid_objective_values(axis: np.ndarray, targets: np.ndarray,
+                          neutrals: np.ndarray, eps: float) -> np.ndarray:
     """Objective at every lattice point of axis x axis x axis, C order."""
     pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
     pts = pts.reshape(-1, 3)
@@ -59,7 +51,7 @@ def grid_objective_values_numpy(axis: np.ndarray, targets: np.ndarray,
     return out
 
 
-def yin_difference_numpy(frames: np.ndarray, window: int, tau_max: int) -> np.ndarray:
+def yin_difference(frames: np.ndarray, window: int, tau_max: int) -> np.ndarray:
     """Per-frame squared difference function d(tau) for tau in [0, tau_max].
 
     FFT-based: d(tau) = E(0) + E(tau) - 2*corr(tau), with E(tau) the energy
@@ -77,93 +69,3 @@ def yin_difference_numpy(frames: np.ndarray, window: int, tau_max: int) -> np.nd
     energy = csum[:, window:window + tau_max + 1] - csum[:, :tau_max + 1]
     d = energy[:, :1] + energy - 2.0 * corr
     return np.maximum(d, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (compiled lazily on first call, cached on disk)
-# ---------------------------------------------------------------------------
-
-distance_ratio_numba = None
-grid_objective_values_numba = None
-yin_difference_numba = None
-
-try:
-    if _numba_disabled():
-        raise ImportError(f"numba disabled via {ENV_FLAG}")
-    from numba import njit, prange
-
-    @njit(cache=True)
-    def distance_ratio_numba(m, targets, neutrals, eps):  # noqa: F811
-        acc_t = 0.0
-        for i in range(targets.shape[0]):
-            dv = m[0] - targets[i, 0]
-            da = m[1] - targets[i, 1]
-            dd = m[2] - targets[i, 2]
-            acc_t += np.sqrt(dv * dv + da * da + dd * dd)
-        acc_n = 0.0
-        for i in range(neutrals.shape[0]):
-            dv = m[0] - neutrals[i, 0]
-            da = m[1] - neutrals[i, 1]
-            dd = m[2] - neutrals[i, 2]
-            acc_n += np.sqrt(dv * dv + da * da + dd * dd)
-        return (acc_t / targets.shape[0]) / (acc_n / neutrals.shape[0] + eps)
-
-    @njit(cache=True, parallel=True)
-    def grid_objective_values_numba(axis, targets, neutrals, eps):  # noqa: F811
-        n = axis.size
-        out = np.empty(n * n * n)
-        # independent writes per lattice point: deterministic under prange
-        for idx in prange(n * n * n):
-            v = axis[idx // (n * n)]
-            a = axis[(idx // n) % n]
-            d = axis[idx % n]
-            acc_t = 0.0
-            for i in range(targets.shape[0]):
-                dv = v - targets[i, 0]
-                da = a - targets[i, 1]
-                dd = d - targets[i, 2]
-                acc_t += np.sqrt(dv * dv + da * da + dd * dd)
-            acc_n = 0.0
-            for i in range(neutrals.shape[0]):
-                dv = v - neutrals[i, 0]
-                da = a - neutrals[i, 1]
-                dd = d - neutrals[i, 2]
-                acc_n += np.sqrt(dv * dv + da * da + dd * dd)
-            out[idx] = (acc_t / targets.shape[0]) / (acc_n / neutrals.shape[0] + eps)
-        return out
-
-    @njit(cache=True, parallel=True)
-    def yin_difference_numba(frames, window, tau_max):  # noqa: F811
-        n_frames = frames.shape[0]
-        out = np.empty((n_frames, tau_max + 1))
-        for f in prange(n_frames):
-            for tau in range(tau_max + 1):
-                acc = 0.0
-                for j in range(window):
-                    diff = frames[f, j] - frames[f, j + tau]
-                    acc += diff * diff
-                out[f, tau] = acc
-        return out
-
-    USING_NUMBA = True
-except ImportError:
-    USING_NUMBA = False
-
-
-if USING_NUMBA:
-    distance_ratio = distance_ratio_numba
-    grid_objective_values = grid_objective_values_numba
-    yin_difference = yin_difference_numba
-else:
-    distance_ratio = distance_ratio_numpy
-    grid_objective_values = grid_objective_values_numpy
-    yin_difference = yin_difference_numpy
-
-
-def warm_up() -> None:
-    """Trigger JIT compilation of the active kernels on tiny inputs."""
-    pts = np.zeros((2, 3))
-    m = np.array([0.5, 0.5, 0.5])
-    distance_ratio(m, pts, pts + 1.0, 1e-6)
-    grid_objective_values(np.array([0.0, 1.0]), pts, pts + 1.0, 1e-6)
-    yin_difference(np.zeros((2, 48)), 32, 16)

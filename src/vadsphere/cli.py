@@ -12,9 +12,12 @@ Set VADSPHERE_LOG=debug|info|warning|error to control log verbosity.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
+import math
 import os
+import stat
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -39,6 +42,7 @@ from .pipeline import (
 )
 from .prosody import (
     F0Config,
+    F0Track,
     ProsodyStats,
     align_tracks,
     f1_vuv,
@@ -63,14 +67,31 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    """Write to stdout, or replace `out_path` whole: a failure leaves it as it was."""
     if out_path is None:
         sys.stdout.write(text)
-    else:
-        Path(out_path).write_text(text, encoding="utf-8")
+        return
+    data = text.encode("utf-8")
+    target = Path(os.path.realpath(out_path))  # through a symlink, as a plain write goes
+    tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
+    # open() creates with mode 0o666 & ~umask, as a plain write would
+    f = open(tmp, "xb")
+    try:
+        with f:
+            f.write(data)
+        with contextlib.suppress(FileNotFoundError):  # keep an existing file's mode
+            os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _load_manifest(path: str, neutral_label: str) -> DatasetManifest:
-    return parse_manifest(Path(path), neutral_label=neutral_label)
+    try:
+        return parse_manifest(Path(path), neutral_label=neutral_label)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _read_vectors(path: str) -> np.ndarray:
@@ -88,7 +109,14 @@ def _read_vectors(path: str) -> np.ndarray:
     dim = len(rows[0])
     if any(len(r) != dim for r in rows):
         raise ValueError(f"{path}: inconsistent vector dimensions")
-    return np.asarray(rows, dtype=np.float64)
+    arr = np.asarray(rows, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        # rare path: read the file again rather than hold line numbers
+        bad_row = int(np.flatnonzero(~np.isfinite(arr).all(axis=1))[0])
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        line_no = [n for n, line in enumerate(lines, 1) if line.strip()][bad_row]
+        raise ValueError(f"{path}: line {line_no}: non-finite value")
+    return arr
 
 
 def _read_labels(path: str) -> list[str]:
@@ -97,6 +125,13 @@ def _read_labels(path: str) -> list[str]:
     if not labels:
         raise ValueError(f"{path}: no labels found")
     return labels
+
+
+def _read_track(path: str) -> F0Track:
+    try:
+        return track_from_text(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _read_vad_points(path: str) -> list[VadPoint]:
@@ -170,6 +205,8 @@ def _cmd_svas(args) -> tuple[str, str | None]:
         parts = [float(x) for x in args.center.split(",")]
         if len(parts) != 3:
             raise ValueError("--center expects 'v,a,d'")
+        if not all(math.isfinite(x) for x in parts):
+            raise ValueError("--center values must be finite")
         center = Centroid(point=tuple(parts), mode=MODE_NEUTRAL_MEAN)
     elif args.manifest is not None:
         manifest = _load_manifest(args.manifest, args.neutral_label)
@@ -210,8 +247,8 @@ def _cmd_metrics(args) -> tuple[str, str | None]:
         results.append(("eca", eca(_read_labels(args.pred_labels),
                                    _read_labels(args.ref_labels))))
     if args.track_a is not None:
-        track_a = track_from_text(Path(args.track_a).read_text(encoding="utf-8"))
-        track_b = track_from_text(Path(args.track_b).read_text(encoding="utf-8"))
+        track_a = _read_track(args.track_a)
+        track_b = _read_track(args.track_b)
         track_a, track_b = align_tracks(track_a, track_b)
         results.append(("rmse_f0", rmse_f0(track_a, track_b)))
         results.append(("rmse_period", rmse_period(track_a, track_b)))
@@ -273,13 +310,16 @@ def _read_prosody_file(path: str) -> dict[str, ProsodyStats]:
         try:
             obj = json.loads(line)
             pitch = obj["pitch_mean_hz"]
-            out[obj["id"]] = ProsodyStats(
+            stats = out[obj["id"]] = ProsodyStats(
                 pitch_mean_hz=float(pitch) if pitch is not None else None,
                 energy_mean=float(obj["energy_mean"]),
                 duration_s=float(obj["duration_s"]),
             )
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ValueError(f"{path}: line {line_no}: bad prosody record ({exc})") from exc
+        if not all(math.isfinite(v) for v in (stats.pitch_mean_hz, stats.energy_mean,
+                                              stats.duration_s) if v is not None):
+            raise ValueError(f"{path}: line {line_no}: non-finite value")
     return out
 
 
@@ -304,7 +344,10 @@ def _cmd_pair_acc(args) -> tuple[str, str | None]:
         flag = parts[2].lower()
         if flag not in truthy | falsy:
             raise ValueError(f"{args.pairs}: line {line_no}: judged must be 0/1/true/false")
-        pairs.append((float(parts[0]), float(parts[1]), flag in truthy))
+        r_low, r_high = float(parts[0]), float(parts[1])
+        if not (math.isfinite(r_low) and math.isfinite(r_high)):
+            raise ValueError(f"{args.pairs}: line {line_no}: non-finite radius")
+        pairs.append((r_low, r_high, flag in truthy))
     acc = pair_order_accuracy(pairs)
     return f"pair_order_accuracy\t{acc!r}\n", args.out
 

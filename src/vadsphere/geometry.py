@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 # Radii below this are treated as coincident with the center and map to the
 # canonical zero vector.
@@ -201,16 +201,3 @@ def octant_of(s: ShiftedVad) -> StyleOctant:
 def octant_from_angles(theta: float, phi: float) -> StyleOctant:
     """Style octant of the unit direction with the given angles."""
     return octant_of(to_cartesian(SphericalVector(1.0, theta, phi)))
-
-
-def mean_point(points: Iterable[VadPoint]) -> tuple[float, float, float]:
-    """Plain component-wise mean, as a bare triple."""
-    pts = list(points)
-    if not pts:
-        raise ValueError("mean of empty point sequence")
-    n = len(pts)
-    return (
-        sum(p.v for p in pts) / n,
-        sum(p.a for p in pts) / n,
-        sum(p.d for p in pts) / n,
-    )

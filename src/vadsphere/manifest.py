@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import wave
 from dataclasses import dataclass
 from pathlib import Path
@@ -132,7 +133,13 @@ def _parse_vad(raw, line_no: int) -> VadPoint:
 def _parse_embedding(raw, key: str, line_no: int) -> tuple[float, ...]:
     if not isinstance(raw, (list, tuple)) or len(raw) == 0:
         raise ValueError(f"line {line_no}: {key} must be a non-empty array")
-    return tuple(float(x) for x in raw)
+    try:
+        values = tuple(float(x) for x in raw)
+    except (TypeError, ValueError):
+        raise ValueError(f"line {line_no}: {key} must contain only numbers") from None
+    if not all(math.isfinite(x) for x in values):
+        raise ValueError(f"line {line_no}: {key} must contain only finite numbers")
+    return values
 
 
 def parse_manifest(source, neutral_label: str = "neutral") -> DatasetManifest:

@@ -260,9 +260,12 @@ def track_from_text(text: str) -> F0Track:
         parts = line.split()
         if len(parts) != 4:
             raise ValueError(f"line {line_no}: expected 'frame f0 voiced periodicity'")
-        f0.append(float(parts[1]))
+        f0_hz, per = float(parts[1]), float(parts[3])
+        if not (math.isfinite(f0_hz) and math.isfinite(per)):
+            raise ValueError(f"line {line_no}: non-finite f0 or periodicity")
+        f0.append(f0_hz)
         voiced.append(bool(int(parts[2])))
-        periodicity.append(float(parts[3]))
+        periodicity.append(per)
     if hop is None or sample_rate is None:
         raise ValueError("track text missing '# hop=' or '# sample_rate=' header")
     return F0Track(f0_hz=np.array(f0), voiced=np.array(voiced, dtype=bool),

@@ -6,10 +6,8 @@ import wave
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from vadsphere import DatasetManifest, UtteranceRecord, VadPoint
-from vadsphere import _kernels
 
 CLASS_CENTERS = {
     "neutral": (0.50, 0.50, 0.50),
@@ -64,12 +62,6 @@ def write_wav(path: Path, samples: np.ndarray, sr: int, channels: int = 1) -> No
         w.setsampwidth(2)
         w.setframerate(sr)
         w.writeframes(ints.tobytes())
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile the active kernels once so timing tests measure the algorithm."""
-    _kernels.warm_up()
 
 
 # One "[acceptance] <criterion>: PASS|FAIL" line per release criterion,

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from vadsphere import serialize_manifest
 from vadsphere.cli import run
 
-from conftest import sine_samples, synthetic_manifest, write_wav
+from conftest import CLASS_CENTERS, sine_samples, synthetic_manifest, write_wav
 
 
 @pytest.fixture()
@@ -59,7 +61,7 @@ def test_fit_extract_analyze_pipeline(tmp_path, manifest_file):
     assert header == "emotion,octant,region,count,pitch_mean,energy_mean,duration_mean"
 
 
-def test_analyze_missing_prosody_exits_1_without_writing(tmp_path, manifest_file):
+def test_analyze_missing_prosody_exits_1_without_writing(tmp_path, manifest_file, capsys):
     model = tmp_path / "model.json"
     easv = tmp_path / "easv.jsonl"
     assert run(["fit", "--manifest", str(manifest_file), "--out", str(model)]) == 0
@@ -73,6 +75,18 @@ def test_analyze_missing_prosody_exits_1_without_writing(tmp_path, manifest_file
     code = run(["analyze", "--easv", str(easv), "--prosody", str(prosody),
                 "--manifest", str(manifest_file), "--out", str(out)])
     assert code == 1
+    assert not out.exists()
+
+    ids = [json.loads(line)["id"] for line in easv.read_text().splitlines()]
+    lines = [json.dumps({"id": i, "pitch_mean_hz": None, "energy_mean": 0.1,
+                         "duration_s": 1.0}) for i in ids]
+    lines[1] = lines[1].replace("0.1", "NaN")
+    prosody.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    code = run(["analyze", "--easv", str(easv), "--prosody", str(prosody),
+                "--manifest", str(manifest_file), "--out", str(out)])
+    assert code == 1
+    assert f"{prosody}: line 2: non-finite value" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -136,6 +150,57 @@ def test_unwritable_out_path_exits_1(tmp_path, manifest_file, capsys):
     assert not out.exists()
 
 
+def test_failed_write_keeps_existing_out_file(tmp_path, capsys):
+    # an emotion label that is a lone surrogate cannot be encoded as UTF-8,
+    # so rendering succeeds but writing the report fails
+    classes = dict(CLASS_CENTERS, **{"\udcff": (0.7, 0.3, 0.6)})
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(serialize_manifest(synthetic_manifest(25, 6, classes=classes)))
+    model = tmp_path / "model.json"
+    easv = tmp_path / "easv.jsonl"
+    assert run(["fit", "--manifest", str(manifest), "--out", str(model)]) == 0
+    assert run(["extract", "--manifest", str(manifest),
+                "--model", str(model), "--out", str(easv)]) == 0
+    prosody = tmp_path / "prosody.jsonl"
+    prosody.write_text("".join(
+        json.dumps({"id": json.loads(line)["id"], "pitch_mean_hz": 100.0,
+                    "energy_mean": 0.1, "duration_s": 2.0}) + "\n"
+        for line in easv.read_text().splitlines()))
+    report = tmp_path / "report.md"
+    report.write_bytes(b"old report\n")
+    report.chmod(0o600)
+    link = tmp_path / "link.md"
+    link.symlink_to(report.name)
+    occupied = tmp_path / "occupied"
+    occupied.mkdir()
+    before = sorted(tmp_path.iterdir())
+    assert run(["analyze", "--easv", str(easv), "--prosody", str(prosody),
+                "--manifest", str(manifest), "--out", str(report)]) == 1
+    assert "can't encode" in capsys.readouterr().err
+    assert report.read_bytes() == b"old report\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+    # replacing a directory fails after the temp file is written
+    assert run(["control-vec", "--emotion", "happy", "--octant", "I",
+                "--intensity", "strong", "--out", str(occupied)]) == 1
+    assert sorted(tmp_path.iterdir()) == before
+
+    # a successful write replaces the file behind a symlink and keeps its
+    # mode; a new file gets the mode a plain write gives
+    control_vec = ["control-vec", "--emotion", "happy", "--octant", "I",
+                   "--intensity", "strong", "--out"]
+    assert run(control_vec + [str(link)]) == 0
+    assert link.is_symlink()
+    assert json.loads(report.read_text())["r_iqr"] == 0.9
+    assert stat.S_IMODE(report.stat().st_mode) == 0o600
+    assert sorted(tmp_path.iterdir()) == before
+    fresh = tmp_path / "fresh.json"
+    assert run(control_vec + [str(fresh)]) == 0
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~umask
+
+
 @pytest.mark.parametrize("command", ["fit", "extract", "control-vec", "svas",
                                      "metrics", "prosody", "analyze", "pair-acc"])
 def test_help_exits_0_and_lists_defaults(command, capsys):
@@ -158,6 +223,10 @@ def test_svas_with_center_flag(tmp_path, capsys):
     first = float(lines[0].split("\t")[1])
     assert first == pytest.approx(1.0, abs=1e-12)
     assert lines[-1].startswith("mean\t")
+
+    assert run(["svas", "--synth", str(synth), "--ref", str(ref),
+                "--center", "0.5,nan,0.5"]) == 1
+    assert "finite" in capsys.readouterr().err
 
 
 def test_svas_with_manifest_center(tmp_path, manifest_file, capsys):
@@ -192,6 +261,13 @@ def test_metrics_embeddings_labels(tmp_path, capsys):
     assert float(out["orthogonality_loss"]) == pytest.approx(0.0, abs=1e-12)
     assert float(out["eca"]) == pytest.approx(0.5)
 
+    emb_a.write_text("1 0\n\nnan 1\n")
+    spk.write_text("1 0\n\n-inf 0\n")
+    for flags, bad in ((["--emb-a", str(emb_a), "--emb-b", str(emb_b)], emb_a),
+                       (["--speaker-emb", str(spk), "--emotion-emb", str(emo)], spk)):
+        assert run(["metrics", *flags]) == 1
+        assert f"{bad}: line 3: non-finite value" in capsys.readouterr().err
+
 
 def test_metrics_tracks(tmp_path, capsys):
     from vadsphere import AudioBuffer, estimate_f0
@@ -206,6 +282,13 @@ def test_metrics_tracks(tmp_path, capsys):
     assert float(out["rmse_f0"]) == 0.0
     assert float(out["rmse_period"]) == 0.0
     assert float(out["f1_vuv"]) == 1.0
+
+    lines = track_to_text(track).splitlines()
+    frame, _, voiced, periodicity = lines[-1].split()
+    lines[-1] = f"{frame} inf {voiced} {periodicity}"
+    path_b.write_text("\n".join(lines) + "\n")
+    assert run(["metrics", "--track-a", str(path_a), "--track-b", str(path_b)]) == 1
+    assert f"{path_b}: line {len(lines)}: non-finite" in capsys.readouterr().err
 
 
 def test_metrics_requires_some_input(capsys):
@@ -262,6 +345,21 @@ def test_pair_acc(tmp_path, capsys):
     assert run(["pair-acc", "--pairs", str(pairs)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("pair_order_accuracy\t0.75")
+
+    pairs.write_text("0.1 0.5 1\n0.1 nan 1\n")
+    assert run(["pair-acc", "--pairs", str(pairs)]) == 1
+    assert f"{pairs}: line 2: non-finite" in capsys.readouterr().err
+
+
+def test_bad_manifest_embedding_names_file_and_line(tmp_path, capsys):
+    manifest = tmp_path / "manifest.jsonl"
+    for embedding in ("[0.1,NaN]", "[0.1,[1]]"):
+        manifest.write_text(
+            '{"id":"a","speaker":"s","emotion":"neutral","vad":[0.5,0.5,0.5]}\n'
+            '{"id":"b","speaker":"s","emotion":"happy","vad":[0.8,0.7,0.6],'
+            f'"emo_embedding":{embedding}}}\n')
+        assert run(["fit", "--manifest", str(manifest)]) == 1
+        assert f"{manifest}: line 2: emo_embedding" in capsys.readouterr().err
 
 
 def test_extract_stdout(tmp_path, manifest_file, capsys):

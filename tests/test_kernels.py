@@ -10,47 +10,11 @@ AXIS = np.minimum(np.arange(21, dtype=float) * 0.05, 1.0)
 FRAMES = np.ascontiguousarray(
     np.lib.stride_tricks.sliding_window_view(rng.normal(0, 0.3, 6000), 1466)[::256])
 
-needs_numba = pytest.mark.skipif(not _kernels.USING_NUMBA,
-                                 reason="numba path not active")
-
 
 def test_numpy_grid_values_deterministic():
-    a = _kernels.grid_objective_values_numpy(AXIS, TARGETS, NEUTRALS, 1e-6)
-    b = _kernels.grid_objective_values_numpy(AXIS, TARGETS, NEUTRALS, 1e-6)
+    a = _kernels.grid_objective_values(AXIS, TARGETS, NEUTRALS, 1e-6)
+    b = _kernels.grid_objective_values(AXIS, TARGETS, NEUTRALS, 1e-6)
     assert np.array_equal(a, b)
-
-
-@needs_numba
-def test_numba_grid_values_deterministic():
-    # prange writes one slot per lattice point, so threading must not
-    # perturb the result
-    a = _kernels.grid_objective_values_numba(AXIS, TARGETS, NEUTRALS, 1e-6)
-    b = _kernels.grid_objective_values_numba(AXIS, TARGETS, NEUTRALS, 1e-6)
-    assert np.array_equal(a, b)
-
-
-@needs_numba
-def test_distance_ratio_paths_agree():
-    m = np.array([0.45, 0.52, 0.48])
-    a = _kernels.distance_ratio_numpy(m, TARGETS, NEUTRALS, 1e-6)
-    b = _kernels.distance_ratio_numba(m, TARGETS, NEUTRALS, 1e-6)
-    assert a == pytest.approx(b, abs=1e-12)
-
-
-@needs_numba
-def test_grid_values_paths_agree():
-    a = _kernels.grid_objective_values_numpy(AXIS, TARGETS, NEUTRALS, 1e-6)
-    b = _kernels.grid_objective_values_numba(AXIS, TARGETS, NEUTRALS, 1e-6)
-    assert np.abs(a - b).max() < 1e-9
-
-
-@needs_numba
-def test_yin_difference_paths_agree():
-    # FFT vs time-domain correlation: identical up to accumulated rounding
-    a = _kernels.yin_difference_numpy(FRAMES, 1024, 442)
-    b = _kernels.yin_difference_numba(FRAMES, 1024, 442)
-    assert a.shape == b.shape == (FRAMES.shape[0], 443)
-    assert np.abs(a - b).max() < 1e-9
 
 
 def test_yin_difference_zero_lag_is_zero():

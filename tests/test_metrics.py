@@ -50,6 +50,17 @@ def test_svas_bounded_and_symmetric():
         assert value == pytest.approx(svas(b, a, CENTER), abs=1e-12)
 
 
+def test_svas_jumps_at_the_phi_branch_cut():
+    # phi = atan2(v, a) flips from +pi to -pi where v crosses the center with
+    # a below it; svas compares raw (theta, phi) pairs, as the paper defines
+    # it, so two directions 2e-4 apart score far below 1
+    a = VadPoint(0.5 + 1e-4, 0.3, 0.6)
+    b = VadPoint(0.5 - 1e-4, 0.3, 0.6)
+    assert svas(a, a, CENTER) == pytest.approx(1.0, abs=1e-12)
+    assert svas(b, b, CENTER) == pytest.approx(1.0, abs=1e-12)
+    assert svas(a, b, CENTER) == pytest.approx(-0.77898, abs=1e-5)
+
+
 def test_angle_cosine_orthogonal():
     assert angle_cosine(AngleVector(1.0, 0.0), AngleVector(0.0, 1.0)) == 0.0
 
