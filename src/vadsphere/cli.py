@@ -12,7 +12,6 @@ Set VADSPHERE_LOG=debug|info|warning|error to control log verbosity.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import logging
 import math
@@ -67,20 +66,32 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    """Write to stdout, or replace `out_path` whole: a failure leaves it as it was."""
+    """Write to stdout, or replace `out_path` whole: a failure leaves it as it was.
+
+    Only a regular file (or a missing one) is replaced through a temp file;
+    anything else (a FIFO, /dev/null, /dev/stdout) is opened and written.
+    """
     if out_path is None:
         sys.stdout.write(text)
         return
     data = text.encode("utf-8")
     target = Path(os.path.realpath(out_path))  # through a symlink, as a plain write goes
+    try:
+        target_mode = os.stat(out_path).st_mode
+    except FileNotFoundError:
+        target_mode = None
+    if target_mode is not None and not stat.S_ISREG(target_mode):
+        with open(out_path, "wb") as f:
+            f.write(data)
+        return
     tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
     # open() creates with mode 0o666 & ~umask, as a plain write would
     f = open(tmp, "xb")
     try:
         with f:
             f.write(data)
-        with contextlib.suppress(FileNotFoundError):  # keep an existing file's mode
-            os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
+        if target_mode is not None:  # keep an existing file's mode
+            os.chmod(tmp, stat.S_IMODE(target_mode))
         os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -97,6 +108,7 @@ def _load_manifest(path: str, neutral_label: str) -> DatasetManifest:
 def _read_vectors(path: str) -> np.ndarray:
     """Line-delimited vectors: space-separated decimals, one vector per line."""
     rows = []
+    line_nos = []
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
@@ -104,6 +116,7 @@ def _read_vectors(path: str) -> np.ndarray:
             rows.append([float(x) for x in line.split()])
         except ValueError:
             raise ValueError(f"{path}: line {line_no}: not a numeric vector") from None
+        line_nos.append(line_no)
     if not rows:
         raise ValueError(f"{path}: no vectors found")
     dim = len(rows[0])
@@ -111,11 +124,8 @@ def _read_vectors(path: str) -> np.ndarray:
         raise ValueError(f"{path}: inconsistent vector dimensions")
     arr = np.asarray(rows, dtype=np.float64)
     if not np.isfinite(arr).all():
-        # rare path: read the file again rather than hold line numbers
         bad_row = int(np.flatnonzero(~np.isfinite(arr).all(axis=1))[0])
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        line_no = [n for n, line in enumerate(lines, 1) if line.strip()][bad_row]
-        raise ValueError(f"{path}: line {line_no}: non-finite value")
+        raise ValueError(f"{path}: line {line_nos[bad_row]}: non-finite value")
     return arr
 
 
@@ -205,8 +215,6 @@ def _cmd_svas(args) -> tuple[str, str | None]:
         parts = [float(x) for x in args.center.split(",")]
         if len(parts) != 3:
             raise ValueError("--center expects 'v,a,d'")
-        if not all(math.isfinite(x) for x in parts):
-            raise ValueError("--center values must be finite")
         center = Centroid(point=tuple(parts), mode=MODE_NEUTRAL_MEAN)
     elif args.manifest is not None:
         manifest = _load_manifest(args.manifest, args.neutral_label)

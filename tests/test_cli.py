@@ -1,6 +1,7 @@
 import json
 import os
 import stat
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -180,7 +181,7 @@ def test_failed_write_keeps_existing_out_file(tmp_path, capsys):
     assert report.read_bytes() == b"old report\n"
     assert sorted(tmp_path.iterdir()) == before
 
-    # replacing a directory fails after the temp file is written
+    # a directory is not replaced: opening it fails and nothing is left
     assert run(["control-vec", "--emotion", "happy", "--octant", "I",
                 "--intensity", "strong", "--out", str(occupied)]) == 1
     assert sorted(tmp_path.iterdir()) == before
@@ -199,6 +200,23 @@ def test_failed_write_keeps_existing_out_file(tmp_path, capsys):
     umask = os.umask(0)
     os.umask(umask)
     assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~umask
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_out_to_fifo_writes_through(tmp_path):
+    # a target that is not a regular file is written, never replaced
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    assert run(["control-vec", "--emotion", "happy", "--octant", "I",
+                "--intensity", "strong", "--out", str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert json.loads(received[0])["r_iqr"] == 0.9
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(tmp_path.iterdir()) == [fifo]
 
 
 @pytest.mark.parametrize("command", ["fit", "extract", "control-vec", "svas",
@@ -226,7 +244,7 @@ def test_svas_with_center_flag(tmp_path, capsys):
 
     assert run(["svas", "--synth", str(synth), "--ref", str(ref),
                 "--center", "0.5,nan,0.5"]) == 1
-    assert "finite" in capsys.readouterr().err
+    assert "outside [0, 1]" in capsys.readouterr().err
 
 
 def test_svas_with_manifest_center(tmp_path, manifest_file, capsys):

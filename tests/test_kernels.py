@@ -23,6 +23,13 @@ def test_yin_difference_zero_lag_is_zero():
     assert (d >= 0.0).all()
 
 
+def test_yin_difference_matches_direct_sum():
+    d = _kernels.yin_difference(FRAMES, 1024, 442)
+    for tau in (1, 37, 200, 441):
+        direct = ((FRAMES[:, :1024] - FRAMES[:, tau:tau + 1024]) ** 2).sum(axis=1)
+        assert np.abs(d[:, tau] - direct).max() < 1e-9
+
+
 def test_grid_values_match_scalar_objective():
     values = _kernels.grid_objective_values(AXIS, TARGETS, NEUTRALS, 1e-6)
     n = AXIS.size
