@@ -4,7 +4,8 @@
   mean Euclidean distance to the emotion's points over the mean distance to
   the neutral points (plus a guard epsilon).
 - ``grid_objective_values``: the same objective at every point of a cubic
-  lattice, in C order; the exhaustive oracle behind ``grid_search_centroid``.
+  lattice, in C order; the lattice scan of ``solve_centroid`` and
+  ``grid_search_centroid``.
 - ``yin_difference``: the squared difference function d(tau) of YIN
   (de Cheveigne & Kawahara 2002) for a batch of frames, via FFT correlation.
 
@@ -20,9 +21,9 @@ import numpy as np
 # Read by perfbench/traced.py for its kernels.using_numba label; always False.
 USING_NUMBA = False
 
-# Lattice rows per chunk in the grid scan; keeps the (chunk, n_points)
-# distance matrix around 100 MB at 500 points/class.
-_GRID_CHUNK = 32768
+# Elements of one (lattice rows, points) distance matrix in the grid scan:
+# 2 MB each, so the scan's temporaries stay small at any class size.
+_GRID_CHUNK_ELEMENTS = 1 << 18
 
 
 def distance_ratio(m: np.ndarray, targets: np.ndarray,
@@ -41,13 +42,14 @@ def grid_objective_values(axis: np.ndarray, targets: np.ndarray,
     t_sq = (targets ** 2).sum(axis=1)
     n_sq = (neutrals ** 2).sum(axis=1)
     out = np.empty(pts.shape[0])
-    for lo in range(0, pts.shape[0], _GRID_CHUNK):
-        chunk = pts[lo:lo + _GRID_CHUNK]
+    rows = max(1, _GRID_CHUNK_ELEMENTS // max(len(targets), len(neutrals)))
+    for lo in range(0, pts.shape[0], rows):
+        chunk = pts[lo:lo + rows]
         m_sq = (chunk ** 2).sum(axis=1)[:, None]
         # |m - e|^2 expanded so the cross term is a BLAS matmul
         dt = np.sqrt(np.maximum(m_sq - 2.0 * chunk @ targets.T + t_sq, 0.0))
         dn = np.sqrt(np.maximum(m_sq - 2.0 * chunk @ neutrals.T + n_sq, 0.0))
-        out[lo:lo + _GRID_CHUNK] = dt.mean(axis=1) / (dn.mean(axis=1) + eps)
+        out[lo:lo + rows] = dt.mean(axis=1) / (dn.mean(axis=1) + eps)
     return out
 
 

@@ -2,9 +2,12 @@
 
 The center of an emotion's spherical coordinate system maximizes the ratio
 of the mean distance to that emotion's points over the mean distance to the
-neutral points. The ratio is smooth but non-convex in the 3-D cube, so we
-run a multi-start Nelder-Mead simplex search projected onto [0, 1]^3, and
-keep an exhaustive grid scan around as an independent oracle.
+neutral points. The ratio is smooth but non-convex in the 3-D cube, so the
+search has two phases: an exhaustive scan of the step-0.1 lattice picks the
+basin, then one bounded Nelder-Mead run polishes the lattice winner. The
+polished point is kept only if it scores higher, so the result is never
+below any lattice value. The same lattice scan, at any step, is
+``grid_search_centroid``.
 """
 
 from __future__ import annotations
@@ -22,31 +25,22 @@ from .geometry import MODE_EMOTION_ADAPTIVE, Centroid, VadPoint
 
 logger = logging.getLogger(__name__)
 
-_CUBE_CORNERS = [(float(i), float(j), float(k))
-                 for i in (0, 1) for j in (0, 1) for k in (0, 1)]
+# Global phase of solve_centroid: 11^3 = 1331 lattice points.
+_LATTICE_STEP = 0.1
+# Nelder-Mead polish from the lattice winner.
+_POLISH_MAX_ITERATIONS = 2000
+_POLISH_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the centroid search; defaults fit manifests of a few thousand rows."""
+    """The one knob of the centroid objective: the epsilon guarding its denominator."""
 
-    max_iterations: int = 2000
-    simplex_tolerance: float = 1e-6
-    random_starts: int = 8
-    seed: int = 42
     denominator_epsilon: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.simplex_tolerance <= 0:
-            raise ValueError("simplex_tolerance must be > 0")
-        if self.random_starts < 0:
-            raise ValueError("random_starts must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be an unsigned integer")
-        if self.denominator_epsilon <= 0:
-            raise ValueError("denominator_epsilon must be > 0")
+        if not (0.0 < self.denominator_epsilon < math.inf):  # also rejects nan
+            raise ValueError("denominator_epsilon must be finite and > 0")
 
 
 def points_array(points: Sequence) -> np.ndarray:
@@ -88,17 +82,32 @@ def _simplex_from(x0: np.ndarray, step: float = 0.1) -> np.ndarray:
     return sim
 
 
+def _lattice_argmax(t_arr: np.ndarray, n_arr: np.ndarray, step: float,
+                   eps: float) -> tuple[float, float, float]:
+    """Best point of the lattice {0, step, 2*step, ..., 1}^3.
+
+    Ties break to the lexicographically smallest point (first maximum in C
+    scan order).
+    """
+    m = int(math.floor(1.0 / step + 1e-9))
+    axis = np.minimum(np.arange(m + 1, dtype=np.float64) * step, 1.0)
+    values = _kernels.grid_objective_values(axis, t_arr, n_arr, eps)
+    idx = int(np.argmax(values))
+    n = axis.size
+    return (float(axis[idx // (n * n)]), float(axis[(idx // n) % n]), float(axis[idx % n]))
+
+
 def solve_centroid(targets: Sequence, neutrals: Sequence,
                    cfg: SolverConfig | None = None,
                    emotion: str | None = None) -> Centroid:
     """Maximize the distance-ratio objective over the VAD cube.
 
-    Multi-start Nelder-Mead: the neutral mean, the target mean, the eight
-    cube corners, and cfg.random_starts seeded uniform points. Every
-    candidate is evaluated inside [0, 1]^3 (scipy clips to the bounds), so
-    the result always lies in the cube and its objective is at least the
-    objective at each start. Deterministic for a fixed seed; ties across
-    starts resolve to the lexicographically smallest point.
+    Scans the step-0.1 lattice, then runs one Nelder-Mead search from its
+    best point, with every candidate clipped to [0, 1]^3 (scipy clips to the
+    bounds). The polished point replaces the lattice point only if its
+    objective is higher, so the result lies in the cube and its objective is
+    at least that of every lattice point. No randomness: the same inputs give
+    the same Centroid, bit for bit.
     """
     cfg = cfg or SolverConfig()
     t_arr = points_array(targets)
@@ -108,35 +117,22 @@ def solve_centroid(targets: Sequence, neutrals: Sequence,
     def neg(x: np.ndarray) -> float:
         return -float(_kernels.distance_ratio(x, t_arr, n_arr, eps))
 
-    rng = np.random.default_rng(cfg.seed)
-    starts = [n_arr.mean(axis=0), t_arr.mean(axis=0)]
-    starts.extend(np.asarray(c) for c in _CUBE_CORNERS)
-    if cfg.random_starts:
-        starts.extend(rng.uniform(0.0, 1.0, size=(cfg.random_starts, 3)))
-
-    best_key: tuple | None = None
-    best_point: np.ndarray | None = None
-    for x0 in starts:
-        x0 = np.clip(np.asarray(x0, dtype=np.float64), 0.0, 1.0)
-        res = minimize(
-            neg, x0, method="Nelder-Mead",
-            bounds=[(0.0, 1.0)] * 3,
-            options={
-                "maxiter": cfg.max_iterations,
-                "xatol": cfg.simplex_tolerance,
-                "fatol": cfg.simplex_tolerance,
-                "initial_simplex": _simplex_from(x0),
-            },
-        )
-        point = np.clip(res.x, 0.0, 1.0)
-        value = -neg(point)
-        # order by objective desc, then lexicographically smallest point,
-        # so a parallel multi-start reduction would give the same result
-        key = (-value, tuple(point))
-        if best_key is None or key < best_key:
-            best_key, best_point = key, point
-    assert best_point is not None and best_key is not None
-    best_value = -best_key[0]
+    best_point = np.array(_lattice_argmax(t_arr, n_arr, _LATTICE_STEP, eps))
+    best_value = -neg(best_point)
+    res = minimize(
+        neg, best_point, method="Nelder-Mead",
+        bounds=[(0.0, 1.0)] * 3,
+        options={
+            "maxiter": _POLISH_MAX_ITERATIONS,
+            "xatol": _POLISH_TOLERANCE,
+            "fatol": _POLISH_TOLERANCE,
+            "initial_simplex": _simplex_from(best_point),
+        },
+    )
+    polished = np.clip(res.x, 0.0, 1.0)
+    polished_value = -neg(polished)
+    if polished_value > best_value:
+        best_point, best_value = polished, polished_value
     logger.debug("solve_centroid: best objective %.6f at %s", best_value, best_point)
     return Centroid(point=tuple(float(x) for x in best_point),
                     mode=MODE_EMOTION_ADAPTIVE, emotion=emotion,
@@ -148,18 +144,11 @@ def grid_search_centroid(targets: Sequence, neutrals: Sequence, step: float,
                          emotion: str | None = None) -> Centroid:
     """Exhaustive maximizer over the lattice {0, step, 2*step, ..., 1}^3.
 
-    Test oracle for solve_centroid. Ties break to the lexicographically
-    smallest lattice point (first maximum in C scan order).
+    The global phase of solve_centroid at any step. Ties break to the
+    lexicographically smallest lattice point (first maximum in C scan order).
     """
     if not (0.0 < step <= 0.5):
         raise ValueError(f"step {step} must be in (0, 0.5]")
-    t_arr = points_array(targets)
-    n_arr = points_array(neutrals)
-    m = int(math.floor(1.0 / step + 1e-9))
-    axis = np.minimum(np.arange(m + 1, dtype=np.float64) * step, 1.0)
-    values = _kernels.grid_objective_values(axis, t_arr, n_arr, eps)
-    idx = int(np.argmax(values))
-    n = axis.size
-    point = (float(axis[idx // (n * n)]), float(axis[(idx // n) % n]), float(axis[idx % n]))
+    point = _lattice_argmax(points_array(targets), points_array(neutrals), step, eps)
     return Centroid(point=point, mode=MODE_EMOTION_ADAPTIVE, emotion=emotion,
                     objective=objective(point, targets, neutrals, eps))

@@ -2,7 +2,7 @@
 
 One executable, eight subcommands: fit, extract, control-vec, svas,
 metrics, prosody, analyze, pair-acc. Outputs are byte-deterministic for
-fixed inputs and seed. Exit codes: 0 success, 1 input or validation error
+fixed inputs. Exit codes: 0 success, 1 input or validation error
 (one-line diagnostic on stderr), 2 internal failure. Nothing is written to
 an --out path unless the whole computation succeeded.
 
@@ -161,16 +161,6 @@ def _parse_intensity(raw: str) -> float:
     return value
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        max_iterations=args.max_iterations,
-        simplex_tolerance=args.simplex_tolerance,
-        random_starts=args.random_starts,
-        seed=args.seed,
-        denominator_epsilon=args.denominator_epsilon,
-    )
-
-
 def _f0_config(args) -> F0Config:
     return F0Config(f_min=args.f_min, f_max=args.f_max, window=args.window,
                     hop=args.hop, aperiodicity_threshold=args.threshold)
@@ -182,7 +172,7 @@ def _f0_config(args) -> F0Config:
 
 def _cmd_fit(args) -> tuple[str, str | None]:
     manifest = _load_manifest(args.manifest, args.neutral_label)
-    cfg = _solver_config(args)
+    cfg = SolverConfig(denominator_epsilon=args.denominator_epsilon)
     model = fit_easv_model(manifest, cfg)
     return model_to_json(model, cfg), args.out
 
@@ -212,9 +202,12 @@ def _cmd_svas(args) -> tuple[str, str | None]:
     if len(synth) != len(ref):
         raise ValueError(f"length mismatch: {len(synth)} synth vs {len(ref)} ref points")
     if args.center is not None:
-        parts = [float(x) for x in args.center.split(",")]
+        try:
+            parts = [float(x) for x in args.center.split(",")]
+        except ValueError:
+            parts = []
         if len(parts) != 3:
-            raise ValueError("--center expects 'v,a,d'")
+            raise ValueError(f"--center expects 'v,a,d', got {args.center!r}")
         center = Centroid(point=tuple(parts), mode=MODE_NEUTRAL_MEAN)
     elif args.manifest is not None:
         manifest = _load_manifest(args.manifest, args.neutral_label)
@@ -323,7 +316,7 @@ def _read_prosody_file(path: str) -> dict[str, ProsodyStats]:
                 energy_mean=float(obj["energy_mean"]),
                 duration_s=float(obj["duration_s"]),
             )
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
             raise ValueError(f"{path}: line {line_no}: bad prosody record ({exc})") from exc
         if not all(math.isfinite(v) for v in (stats.pitch_mean_hz, stats.energy_mean,
                                               stats.duration_s) if v is not None):
@@ -352,7 +345,10 @@ def _cmd_pair_acc(args) -> tuple[str, str | None]:
         flag = parts[2].lower()
         if flag not in truthy | falsy:
             raise ValueError(f"{args.pairs}: line {line_no}: judged must be 0/1/true/false")
-        r_low, r_high = float(parts[0]), float(parts[1])
+        try:
+            r_low, r_high = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise ValueError(f"{args.pairs}: line {line_no}: non-numeric radius") from None
         if not (math.isfinite(r_low) and math.isfinite(r_high)):
             raise ValueError(f"{args.pairs}: line {line_no}: non-finite radius")
         pairs.append((r_low, r_high, flag in truthy))
@@ -363,20 +359,6 @@ def _cmd_pair_acc(args) -> tuple[str, str | None]:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
-
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=SolverConfig.seed,
-                   help="seed for the solver's random starts")
-    p.add_argument("--max-iterations", type=int, default=SolverConfig.max_iterations,
-                   help="simplex iteration cap per start")
-    p.add_argument("--random-starts", type=int, default=SolverConfig.random_starts,
-                   help="number of seeded random starts")
-    p.add_argument("--simplex-tolerance", type=float, default=SolverConfig.simplex_tolerance,
-                   help="simplex convergence tolerance")
-    p.add_argument("--denominator-epsilon", type=float,
-                   default=SolverConfig.denominator_epsilon,
-                   help="epsilon guarding the objective denominator")
-
 
 def _add_f0_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--f-min", type=float, default=F0Config.f_min,
@@ -404,7 +386,9 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", required=True, help="input manifest (one JSON object per line)")
     p.add_argument("--out", default=None, help="output model JSON path (default stdout)")
     p.add_argument("--neutral-label", default="neutral", help="label of the neutral class")
-    _add_solver_flags(p)
+    p.add_argument("--denominator-epsilon", type=float,
+                   default=SolverConfig.denominator_epsilon,
+                   help="objective denominator guard")
     p.set_defaults(handler=_cmd_fit)
 
     p = sub.add_parser("extract", formatter_class=fmt,

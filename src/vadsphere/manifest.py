@@ -79,11 +79,7 @@ class DatasetManifest:
 
     def emotion_order(self) -> list[str]:
         """Emotion labels in order of first appearance over the sorted records."""
-        seen: list[str] = []
-        for r in self.records:
-            if r.emotion not in seen:
-                seen.append(r.emotion)
-        return seen
+        return list(dict.fromkeys(r.emotion for r in self.records))
 
 
 @dataclass(frozen=True)

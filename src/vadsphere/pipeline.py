@@ -230,13 +230,7 @@ def model_to_json(model: EasvModel, cfg: SolverConfig | None = None) -> str:
         "format": MODEL_FORMAT,
         "tool_version": TOOL_VERSION,
         "neutral_label": model.neutral_label,
-        "solver": {
-            "max_iterations": cfg.max_iterations,
-            "simplex_tolerance": cfg.simplex_tolerance,
-            "random_starts": cfg.random_starts,
-            "seed": cfg.seed,
-            "denominator_epsilon": cfg.denominator_epsilon,
-        },
+        "solver": {"denominator_epsilon": cfg.denominator_epsilon},
         "centroids": {
             emotion: {"point": list(c.point), "objective": c.objective}
             for emotion, c in model.centroids.items()

@@ -252,19 +252,25 @@ def track_from_text(text: str) -> F0Track:
         if line.startswith("#"):
             key, _, value = line[1:].partition("=")
             key = key.strip()
-            if key == "hop":
-                hop = int(value)
-            elif key == "sample_rate":
-                sample_rate = int(value)
+            try:
+                if key == "hop":
+                    hop = int(value)
+                elif key == "sample_rate":
+                    sample_rate = int(value)
+            except ValueError:
+                raise ValueError(f"line {line_no}: non-integer {key}") from None
             continue
         parts = line.split()
         if len(parts) != 4:
             raise ValueError(f"line {line_no}: expected 'frame f0 voiced periodicity'")
-        f0_hz, per = float(parts[1]), float(parts[3])
+        try:
+            f0_hz, is_voiced, per = float(parts[1]), bool(int(parts[2])), float(parts[3])
+        except ValueError:
+            raise ValueError(f"line {line_no}: non-numeric field") from None
         if not (math.isfinite(f0_hz) and math.isfinite(per)):
             raise ValueError(f"line {line_no}: non-finite f0 or periodicity")
         f0.append(f0_hz)
-        voiced.append(bool(int(parts[2])))
+        voiced.append(is_voiced)
         periodicity.append(per)
     if hop is None or sample_rate is None:
         raise ValueError("track text missing '# hop=' or '# sample_rate=' header")

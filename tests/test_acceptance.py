@@ -69,7 +69,7 @@ def test_algorithm_end_to_end(tmp_path):
         easv_a = tmp_path / "easv_a.jsonl"
 
         start = time.perf_counter()
-        assert run(["fit", "--manifest", str(manifest_path), "--seed", "42",
+        assert run(["fit", "--manifest", str(manifest_path),
                     "--out", str(model_a)]) == 0
         assert run(["extract", "--manifest", str(manifest_path),
                     "--model", str(model_a), "--out", str(easv_a)]) == 0
@@ -85,7 +85,7 @@ def test_algorithm_end_to_end(tmp_path):
 
         model_b = tmp_path / "model_b.json"
         easv_b = tmp_path / "easv_b.jsonl"
-        assert run(["fit", "--manifest", str(manifest_path), "--seed", "42",
+        assert run(["fit", "--manifest", str(manifest_path),
                     "--out", str(model_b)]) == 0
         assert run(["extract", "--manifest", str(manifest_path),
                     "--model", str(model_b), "--out", str(easv_b)]) == 0

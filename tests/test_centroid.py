@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vadsphere import (
     SolverConfig,
@@ -66,8 +68,8 @@ def test_solver_identical_sets_degenerate():
 def test_solver_stays_in_cube_and_is_deterministic():
     rng = np.random.default_rng(23)
     targets, neutrals = random_solver_instance(rng, n=80)
-    a = solve_centroid(targets, neutrals, SolverConfig(seed=7), emotion="x")
-    b = solve_centroid(targets, neutrals, SolverConfig(seed=7), emotion="x")
+    a = solve_centroid(targets, neutrals, SolverConfig(), emotion="x")
+    b = solve_centroid(targets, neutrals, SolverConfig(), emotion="x")
     assert a.point == b.point  # bit-identical
     assert a.objective == b.objective
     assert all(0.0 <= c <= 1.0 for c in a.point)
@@ -78,14 +80,16 @@ def test_solver_stays_in_cube_and_is_deterministic():
 def test_solver_beats_every_start():
     rng = np.random.default_rng(31)
     targets, neutrals = random_solver_instance(rng, n=60)
-    cfg = SolverConfig(seed=3)
+    cfg = SolverConfig()
     sol = solve_centroid(targets, neutrals, cfg)
     t = np.array([p.as_tuple() for p in targets])
     n = np.array([p.as_tuple() for p in neutrals])
     starts = [n.mean(axis=0), t.mean(axis=0)]
     starts += [np.array((float(i), float(j), float(k)))
                for i in (0, 1) for j in (0, 1) for k in (0, 1)]
-    starts += list(np.random.default_rng(cfg.seed).uniform(0, 1, (cfg.random_starts, 3)))
+    starts += list(np.random.default_rng(3).uniform(0, 1, (8, 3)))
+    axis = np.arange(11) * 0.1
+    starts += [np.array((a, b, c)) for a in axis for b in axis for c in axis]
     for x0 in starts:
         assert sol.objective >= objective(x0, targets, neutrals,
                                           cfg.denominator_epsilon) - 1e-12
@@ -137,12 +141,20 @@ def test_oracle_dominance_small():
         assert sol.objective >= oracle.objective - 1e-3
 
 
+_unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+_cloud = st.lists(st.tuples(_unit, _unit, _unit), min_size=4, max_size=40)
+
+
+@settings(max_examples=30, deadline=None)
+@given(targets=_cloud, neutrals=_cloud)
+def test_solver_dominates_lattice_property(targets, neutrals):
+    sol = solve_centroid(targets, neutrals)
+    assert all(0.0 <= c <= 1.0 for c in sol.point)
+    assert sol.objective >= grid_search_centroid(targets, neutrals, step=0.1).objective
+    assert solve_centroid(targets, neutrals) == sol  # bit-identical rerun
+
+
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        SolverConfig(simplex_tolerance=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(random_starts=-1)
-    with pytest.raises(ValueError):
-        SolverConfig(denominator_epsilon=0.0)
+    for eps in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SolverConfig(denominator_epsilon=eps)

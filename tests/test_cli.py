@@ -24,7 +24,7 @@ def manifest_file(tmp_path) -> Path:
 def test_fit_is_byte_deterministic(tmp_path, manifest_file):
     out_a = tmp_path / "model_a.json"
     out_b = tmp_path / "model_b.json"
-    base = ["fit", "--manifest", str(manifest_file), "--seed", "42"]
+    base = ["fit", "--manifest", str(manifest_file)]
     assert run(base + ["--out", str(out_a)]) == 0
     assert run(base + ["--out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
@@ -88,6 +88,14 @@ def test_analyze_missing_prosody_exits_1_without_writing(tmp_path, manifest_file
                 "--manifest", str(manifest_file), "--out", str(out)])
     assert code == 1
     assert f"{prosody}: line 2: non-finite value" in capsys.readouterr().err
+    assert not out.exists()
+
+    lines[1] = lines[1].replace("NaN", '"abc"')
+    prosody.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = run(["analyze", "--easv", str(easv), "--prosody", str(prosody),
+                "--manifest", str(manifest_file), "--out", str(out)])
+    assert code == 1
+    assert f"{prosody}: line 2: bad prosody record" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -226,7 +234,7 @@ def test_help_exits_0_and_lists_defaults(command, capsys):
     out = capsys.readouterr().out
     assert "--out" in out
     if command == "fit":
-        assert "default: 42" in out  # seed default advertised
+        assert "default: 1e-06" in out  # --denominator-epsilon default advertised
 
 
 def test_svas_with_center_flag(tmp_path, capsys):
@@ -245,6 +253,10 @@ def test_svas_with_center_flag(tmp_path, capsys):
     assert run(["svas", "--synth", str(synth), "--ref", str(ref),
                 "--center", "0.5,nan,0.5"]) == 1
     assert "outside [0, 1]" in capsys.readouterr().err
+
+    assert run(["svas", "--synth", str(synth), "--ref", str(ref),
+                "--center", "abc,1,2"]) == 1
+    assert "--center expects 'v,a,d', got 'abc,1,2'" in capsys.readouterr().err
 
 
 def test_svas_with_manifest_center(tmp_path, manifest_file, capsys):
@@ -308,6 +320,11 @@ def test_metrics_tracks(tmp_path, capsys):
     assert run(["metrics", "--track-a", str(path_a), "--track-b", str(path_b)]) == 1
     assert f"{path_b}: line {len(lines)}: non-finite" in capsys.readouterr().err
 
+    lines[-1] = f"{frame} abc {voiced} {periodicity}"
+    path_b.write_text("\n".join(lines) + "\n")
+    assert run(["metrics", "--track-a", str(path_a), "--track-b", str(path_b)]) == 1
+    assert f"{path_b}: line {len(lines)}: non-numeric field" in capsys.readouterr().err
+
 
 def test_metrics_requires_some_input(capsys):
     assert run(["metrics"]) == 1
@@ -367,6 +384,10 @@ def test_pair_acc(tmp_path, capsys):
     pairs.write_text("0.1 0.5 1\n0.1 nan 1\n")
     assert run(["pair-acc", "--pairs", str(pairs)]) == 1
     assert f"{pairs}: line 2: non-finite" in capsys.readouterr().err
+
+    pairs.write_text("0.1 0.5 1\n0.1 abc 1\n")
+    assert run(["pair-acc", "--pairs", str(pairs)]) == 1
+    assert f"{pairs}: line 2: non-numeric radius" in capsys.readouterr().err
 
 
 def test_bad_manifest_embedding_names_file_and_line(tmp_path, capsys):
