@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import _kernels
 from .geometry import MODE_EMOTION_ADAPTIVE, Centroid, VadPoint
@@ -109,6 +108,10 @@ def solve_centroid(targets: Sequence, neutrals: Sequence,
     at least that of every lattice point. No randomness: the same inputs give
     the same Centroid, bit for bit.
     """
+    # Imported here, not at module top: scipy.optimize takes about 0.6 s to
+    # load (2-core VM), and of the CLI only `fit` reaches this function.
+    from scipy.optimize import minimize
+
     cfg = cfg or SolverConfig()
     t_arr = points_array(targets)
     n_arr = points_array(neutrals)

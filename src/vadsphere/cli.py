@@ -41,7 +41,6 @@ from .pipeline import (
 )
 from .prosody import (
     F0Config,
-    F0Track,
     ProsodyStats,
     align_tracks,
     f1_vuv,
@@ -137,9 +136,10 @@ def _read_labels(path: str) -> list[str]:
     return labels
 
 
-def _read_track(path: str) -> F0Track:
+def _parse_file(path: str, parse):
+    """parse(text of the file at path), with the path prefixed to a ValueError."""
     try:
-        return track_from_text(Path(path).read_text(encoding="utf-8"))
+        return parse(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -178,7 +178,7 @@ def _cmd_fit(args) -> tuple[str, str | None]:
 
 
 def _cmd_extract(args) -> tuple[str, str | None]:
-    model = model_from_json(Path(args.model).read_text(encoding="utf-8"))
+    model = _parse_file(args.model, model_from_json)
     manifest = _load_manifest(args.manifest, model.neutral_label)
     easvs = extract_easv_set(manifest, model)
     return easv_set_to_jsonl(easvs), args.out
@@ -248,8 +248,8 @@ def _cmd_metrics(args) -> tuple[str, str | None]:
         results.append(("eca", eca(_read_labels(args.pred_labels),
                                    _read_labels(args.ref_labels))))
     if args.track_a is not None:
-        track_a = _read_track(args.track_a)
-        track_b = _read_track(args.track_b)
+        track_a = _parse_file(args.track_a, track_from_text)
+        track_b = _parse_file(args.track_b, track_from_text)
         track_a, track_b = align_tracks(track_a, track_b)
         results.append(("rmse_f0", rmse_f0(track_a, track_b)))
         results.append(("rmse_period", rmse_period(track_a, track_b)))
@@ -326,7 +326,7 @@ def _read_prosody_file(path: str) -> dict[str, ProsodyStats]:
 
 def _cmd_analyze(args) -> tuple[str, str | None]:
     manifest = _load_manifest(args.manifest, args.neutral_label)
-    easvs = easv_set_from_jsonl(Path(args.easv).read_text(encoding="utf-8"))
+    easvs = _parse_file(args.easv, easv_set_from_jsonl)
     prosody = _read_prosody_file(args.prosody)
     report = build_report(easvs, prosody, manifest)
     return render_report(report, args.format), args.out

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from importlib.metadata import PackageNotFoundError, version
 from typing import Mapping, Sequence
@@ -67,6 +68,10 @@ class IqrBounds:
     r_max: float
 
     def __post_init__(self) -> None:
+        for name in ("q1", "q3", "r_min", "r_max"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} {value} is not finite")
         if self.q1 > self.q3:
             raise ValueError("q1 must not exceed q3")
         if self.r_min > self.q1 or self.r_max < self.q3:
@@ -89,6 +94,10 @@ class Easv:
     def __post_init__(self) -> None:
         if not (0.0 <= self.r_iqr <= 1.0):
             raise ValueError(f"r_iqr {self.r_iqr} outside [0, 1]")
+        if not (0.0 <= self.theta <= math.pi):
+            raise ValueError(f"theta {self.theta} outside [0, pi]")
+        if not (-math.pi < self.phi <= math.pi):
+            raise ValueError(f"phi {self.phi} outside (-pi, pi]")
 
 
 @dataclass(frozen=True)
@@ -244,21 +253,36 @@ def model_to_json(model: EasvModel, cfg: SolverConfig | None = None) -> str:
 
 
 def model_from_json(text: str) -> EasvModel:
+    """Parse a model document; a malformed one is a ValueError naming the key."""
     doc = json.loads(text)
-    if doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"not an EASV model document (format={doc.get('format')!r})")
-    neutral_label = doc["neutral_label"]
-    centroids = {
-        emotion: Centroid(point=tuple(entry["point"]), mode=MODE_EMOTION_ADAPTIVE,
-                          emotion=emotion, objective=entry.get("objective"))
-        for emotion, entry in doc["centroids"].items()
-    }
-    bounds = {
-        emotion: IqrBounds(q1=entry["q1"], q3=entry["q3"],
-                           r_min=entry["r_min"], r_max=entry["r_max"])
-        for emotion, entry in doc["bounds"].items()
-    }
-    return EasvModel(centroids=centroids, bounds=bounds, neutral_label=neutral_label)
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != MODEL_FORMAT:
+        raise ValueError(f"not an EASV model document (format={fmt!r})")
+    where = ""  # the entry being read, as a message prefix
+    try:
+        neutral_label = doc["neutral_label"]
+        if not isinstance(neutral_label, str):
+            raise ValueError(f"neutral_label {neutral_label!r} is not a string")
+        centroid_entries, bound_entries = doc["centroids"], doc["bounds"]
+        if not (isinstance(centroid_entries, dict) and isinstance(bound_entries, dict)):
+            raise ValueError("centroids and bounds must be objects")
+        centroids = {}
+        for emotion, entry in centroid_entries.items():
+            where = f"centroids[{emotion!r}]: "
+            centroids[emotion] = Centroid(
+                point=tuple(entry["point"]), mode=MODE_EMOTION_ADAPTIVE,
+                emotion=emotion, objective=entry.get("objective"))
+        bounds = {}
+        for emotion, entry in bound_entries.items():
+            where = f"bounds[{emotion!r}]: "
+            bounds[emotion] = IqrBounds(q1=entry["q1"], q3=entry["q3"],
+                                        r_min=entry["r_min"], r_max=entry["r_max"])
+        where = ""
+        return EasvModel(centroids=centroids, bounds=bounds, neutral_label=neutral_label)
+    except KeyError as exc:
+        raise ValueError(f"{where}missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}{exc}") from None
 
 
 def easv_set_to_jsonl(easvs: Mapping[str, Easv]) -> str:
@@ -285,11 +309,13 @@ def easv_set_from_jsonl(text: str) -> dict[str, Easv]:
         except json.JSONDecodeError as exc:
             raise ValueError(f"line {line_no}: malformed EASV record: {exc.msg}") from exc
         try:
-            rec_id = obj["id"]
+            rec_id = str(obj["id"])
             easv = Easv(r_iqr=float(obj["r_iqr"]), theta=float(obj["theta"]),
                         phi=float(obj["phi"]), emotion=str(obj["emotion"]))
         except KeyError as exc:
-            raise ValueError(f"line {line_no}: missing key {exc}") from exc
+            raise ValueError(f"line {line_no}: bad EASV record (missing key {exc})") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"line {line_no}: bad EASV record ({exc})") from exc
         if rec_id in out:
             raise ValueError(f"line {line_no}: duplicate id '{rec_id}'")
         out[rec_id] = easv

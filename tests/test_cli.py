@@ -1,13 +1,17 @@
+import dataclasses
 import json
 import os
 import stat
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vadsphere import serialize_manifest
+import vadsphere
+from vadsphere import DatasetManifest, serialize_manifest
 from vadsphere.cli import run
 
 from conftest import CLASS_CENTERS, sine_samples, synthetic_manifest, write_wav
@@ -97,6 +101,58 @@ def test_analyze_missing_prosody_exits_1_without_writing(tmp_path, manifest_file
     assert code == 1
     assert f"{prosody}: line 2: bad prosody record" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_analyze_bad_easv_names_file_and_line(tmp_path, manifest_file, capsys):
+    model = tmp_path / "model.json"
+    easv = tmp_path / "easv.jsonl"
+    assert run(["fit", "--manifest", str(manifest_file), "--out", str(model)]) == 0
+    assert run(["extract", "--manifest", str(manifest_file),
+                "--model", str(model), "--out", str(easv)]) == 0
+    good = easv.read_text().splitlines()
+    prosody = tmp_path / "prosody.jsonl"
+    prosody.write_text("".join(
+        json.dumps({"id": json.loads(line)["id"], "pitch_mean_hz": 100.0,
+                    "energy_mean": 0.1, "duration_s": 1.0}) + "\n" for line in good))
+    out = tmp_path / "report.md"
+    second = json.loads(good[1])
+    for bad_line, detail in (("[1,2]", "list indices"),
+                             (json.dumps({**second, "r_iqr": None}), "float()"),
+                             (json.dumps({**second, "theta": float("nan")}),
+                              "theta nan outside [0, pi]"),
+                             (json.dumps({k: v for k, v in second.items() if k != "phi"}),
+                              "missing key 'phi'")):
+        easv.write_text("\n".join([good[0], bad_line, *good[2:]]) + "\n")
+        capsys.readouterr()
+        assert run(["analyze", "--easv", str(easv), "--prosody", str(prosody),
+                    "--manifest", str(manifest_file), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {easv}: line 2: bad EASV record (" in err
+        assert detail in err
+        assert not out.exists()
+
+
+def test_extract_bad_model_names_file_and_key(tmp_path, manifest_file, capsys):
+    model = tmp_path / "model.json"
+    assert run(["fit", "--manifest", str(manifest_file), "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    no_label = {k: v for k, v in doc.items() if k != "neutral_label"}
+    nan_q1 = json.loads(model.read_text())
+    nan_q1["bounds"]["happy"]["q1"] = float("nan")
+    no_r_max = json.loads(model.read_text())
+    del no_r_max["bounds"]["sad"]["r_max"]
+    bad = tmp_path / "bad.json"
+    out = tmp_path / "easv.jsonl"
+    for text, message in (("[1]", "not an EASV model document"),
+                          (json.dumps(no_label), "missing key 'neutral_label'"),
+                          (json.dumps(nan_q1), "bounds['happy']: q1 nan is not finite"),
+                          (json.dumps(no_r_max), "bounds['sad']: missing key 'r_max'")):
+        bad.write_text(text)
+        capsys.readouterr()
+        assert run(["extract", "--manifest", str(manifest_file),
+                    "--model", str(bad), "--out", str(out)]) == 1
+        assert f"error: {bad}: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_analyze_diagnostic_names_offending_id(tmp_path, manifest_file, capsys):
@@ -412,3 +468,62 @@ def test_extract_stdout(tmp_path, manifest_file, capsys):
     neutral = [json.loads(l) for l in lines if json.loads(l)["emotion"] == "neutral"]
     assert all(e["r_iqr"] == 0.0 and e["theta"] == 0.0 and e["phi"] == 0.0
                for e in neutral)
+
+
+def test_only_fit_loads_scipy(tmp_path):
+    """scipy.optimize is slow to import, so only `fit` may load it."""
+    from vadsphere import AudioBuffer, estimate_f0
+    from vadsphere.prosody import track_to_text
+    sr = 16000
+    records = []
+    for i, record in enumerate(synthetic_manifest(per_class=5, seed=8).records):
+        wav = tmp_path / f"{record.id}.wav"
+        write_wav(wav, sine_samples(120.0 + 10 * i, 0.2, sr), sr)
+        records.append(dataclasses.replace(record, audio_path=str(wav)))
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(serialize_manifest(
+        DatasetManifest(records=tuple(records))), encoding="utf-8")
+    model = tmp_path / "model.json"
+    assert run(["fit", "--manifest", str(manifest), "--out", str(model)]) == 0
+    (tmp_path / "vad.txt").write_text("0.8 0.7 0.6\n0.2 0.3 0.4\n")
+    (tmp_path / "emb.txt").write_text("1 0\n0 1\n")
+    (tmp_path / "labels.txt").write_text("happy\nsad\n")
+    (tmp_path / "pairs.txt").write_text("0.1 0.5 1\n0.9 0.1 1\n")
+    track = estimate_f0(AudioBuffer(samples=sine_samples(220, 0.3), sample_rate=22050))
+    (tmp_path / "f0.track").write_text(track_to_text(track))
+
+    def path(name):
+        return str(tmp_path / name)
+
+    manifest, model = str(manifest), str(model)
+    commands = [
+        ("control-vec", ["--emotion", "happy", "--octant", "I", "--intensity", "strong"]),
+        ("prosody", ["--manifest", manifest, "--jobs", "2",
+                     "--out", path("prosody.jsonl")]),
+        ("extract", ["--manifest", manifest, "--model", model,
+                     "--out", path("easv.jsonl")]),
+        ("analyze", ["--easv", path("easv.jsonl"), "--prosody", path("prosody.jsonl"),
+                     "--manifest", manifest]),
+        ("svas", ["--synth", path("vad.txt"), "--ref", path("vad.txt"),
+                  "--manifest", manifest]),
+        ("metrics", ["--emb-a", path("emb.txt"), "--emb-b", path("emb.txt"),
+                     "--pred-labels", path("labels.txt"), "--ref-labels", path("labels.txt"),
+                     "--track-a", path("f0.track"), "--track-b", path("f0.track")]),
+        ("pair-acc", ["--pairs", path("pairs.txt")]),
+        ("fit", ["--manifest", manifest]),
+    ]
+    # Each command's exit code and whether scipy is loaded after it, in a
+    # fresh interpreter; stdout carries the subcommands' outputs first.
+    script = ("import json, sys\n"
+              "from vadsphere.cli import run\n"
+              "seen = [[name, run([name, *argv]), 'scipy' in sys.modules]\n"
+              "        for name, argv in json.loads(sys.argv[1])]\n"
+              "print(json.dumps(seen))\n")
+    src = str(Path(vadsphere.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == [[name, 0, name == "fit"] for name, _ in commands]

@@ -2,8 +2,17 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vadsphere import parse_manifest, read_wav, serialize_manifest
+from vadsphere import (
+    DatasetManifest,
+    UtteranceRecord,
+    VadPoint,
+    parse_manifest,
+    read_wav,
+    serialize_manifest,
+)
 
 from conftest import synthetic_manifest, write_wav
 
@@ -82,6 +91,30 @@ def test_roundtrip_identity():
         assert a.speaker == b.speaker
         assert a.emotion == b.emotion
         assert a.vad.as_tuple() == b.vad.as_tuple()
+
+
+_unit = st.floats(min_value=0.0, max_value=1.0)
+_embedding = st.none() | st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                  min_size=1, max_size=4).map(tuple)
+_record_fields = st.fixed_dictionaries({
+    "speaker": st.text(max_size=5),
+    "emotion": st.text(max_size=5),
+    "vad": st.builds(VadPoint, _unit, _unit, _unit),
+    "audio_path": st.none() | st.text(max_size=8),
+    "emo_embedding": _embedding,
+    "spk_embedding": _embedding,
+})
+
+
+@settings(max_examples=50, deadline=None)
+@given(rows=st.dictionaries(st.text(min_size=1, max_size=6), _record_fields, max_size=6))
+def test_parse_serialize_round_trip_property(rows):
+    manifest = DatasetManifest(records=tuple(
+        UtteranceRecord(id=rec_id, **fields) for rec_id, fields in sorted(rows.items())))
+    text = serialize_manifest(manifest)
+    again = parse_manifest(text)
+    assert again == manifest
+    assert serialize_manifest(again) == text
 
 
 def test_read_wav_mono_identity(tmp_path):

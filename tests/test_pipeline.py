@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vadsphere import (
     Centroid,
@@ -67,6 +69,28 @@ def test_normalize_radius_examples():
     assert normalize_radius(100.0, b) == 1.0
     assert normalize_radius(-1.0, b) == 0.0
     assert normalize_radius(3.0, b) == pytest.approx(0.5)
+
+
+_finite = st.floats(min_value=-1e6, max_value=1e6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fences=st.lists(_finite, min_size=4, max_size=4).map(sorted),
+       radii=st.lists(_finite, min_size=2, max_size=2).map(sorted))
+def test_normalize_radius_monotone_in_unit_interval(fences, radii):
+    r_min, q1, q3, r_max = fences
+    assume(r_min < r_max)
+    b = IqrBounds(q1=q1, q3=q3, r_min=r_min, r_max=r_max)
+    low, high = (normalize_radius(r, b) for r in radii)
+    assert 0.0 <= low <= high <= 1.0
+
+
+@pytest.mark.parametrize("field", ["q1", "q3", "r_min", "r_max"])
+def test_iqr_bounds_reject_non_finite(field):
+    for value in (math.nan, math.inf, -math.inf):
+        fences = {"q1": 2.0, "q3": 4.0, "r_min": -1.0, "r_max": 7.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} {value} is not finite$"):
+            IqrBounds(**fences)
 
 
 def test_normalize_radius_degenerate():
