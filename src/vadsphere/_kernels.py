@@ -3,7 +3,9 @@
 - ``distance_ratio``: the centroid objective at one candidate center, the
   mean Euclidean distance to the emotion's points over the mean distance to
   the neutral points (plus a guard epsilon).
-- ``grid_objective_values``: the same objective at every point of a cubic
+- ``objective_values``: the same objective at each row of a (k, 3) point
+  array, batched as BLAS matmuls; the compass stencil of ``solve_centroid``.
+- ``grid_objective_values``: ``objective_values`` at every point of a cubic
   lattice, in C order; the lattice scan of ``solve_centroid`` and
   ``grid_search_centroid``.
 - ``yin_difference``: the squared difference function d(tau) of YIN
@@ -21,8 +23,8 @@ import numpy as np
 # Read by perfbench/traced.py for its kernels.using_numba label; always False.
 USING_NUMBA = False
 
-# Elements of one (lattice rows, points) distance matrix in the grid scan:
-# 2 MB each, so the scan's temporaries stay small at any class size.
+# Elements of one (candidate rows, points) distance matrix in
+# objective_values: 2 MB each, so the temporaries stay small at any class size.
 _GRID_CHUNK_ELEMENTS = 1 << 18
 
 
@@ -34,23 +36,28 @@ def distance_ratio(m: np.ndarray, targets: np.ndarray,
     return float(dist_t / (dist_n + eps))
 
 
-def grid_objective_values(axis: np.ndarray, targets: np.ndarray,
-                          neutrals: np.ndarray, eps: float) -> np.ndarray:
-    """Objective at every lattice point of axis x axis x axis, C order."""
-    pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
-    pts = pts.reshape(-1, 3)
+def objective_values(points: np.ndarray, targets: np.ndarray,
+                     neutrals: np.ndarray, eps: float) -> np.ndarray:
+    """Objective at each row of a (k, 3) array of candidate centers."""
     t_sq = (targets ** 2).sum(axis=1)
     n_sq = (neutrals ** 2).sum(axis=1)
-    out = np.empty(pts.shape[0])
+    out = np.empty(points.shape[0])
     rows = max(1, _GRID_CHUNK_ELEMENTS // max(len(targets), len(neutrals)))
-    for lo in range(0, pts.shape[0], rows):
-        chunk = pts[lo:lo + rows]
+    for lo in range(0, points.shape[0], rows):
+        chunk = points[lo:lo + rows]
         m_sq = (chunk ** 2).sum(axis=1)[:, None]
         # |m - e|^2 expanded so the cross term is a BLAS matmul
         dt = np.sqrt(np.maximum(m_sq - 2.0 * chunk @ targets.T + t_sq, 0.0))
         dn = np.sqrt(np.maximum(m_sq - 2.0 * chunk @ neutrals.T + n_sq, 0.0))
         out[lo:lo + rows] = dt.mean(axis=1) / (dn.mean(axis=1) + eps)
     return out
+
+
+def grid_objective_values(axis: np.ndarray, targets: np.ndarray,
+                          neutrals: np.ndarray, eps: float) -> np.ndarray:
+    """Objective at every lattice point of axis x axis x axis, C order."""
+    pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
+    return objective_values(pts.reshape(-1, 3), targets, neutrals, eps)
 
 
 def yin_difference(frames: np.ndarray, window: int, tau_max: int) -> np.ndarray:

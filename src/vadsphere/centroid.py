@@ -4,10 +4,10 @@ The center of an emotion's spherical coordinate system maximizes the ratio
 of the mean distance to that emotion's points over the mean distance to the
 neutral points. The ratio is smooth but non-convex in the 3-D cube, so the
 search has two phases: an exhaustive scan of the step-0.1 lattice picks the
-basin, then one bounded Nelder-Mead run polishes the lattice winner. The
-polished point is kept only if it scores higher, so the result is never
-below any lattice value. The same lattice scan, at any step, is
-``grid_search_centroid``.
+basin, then a bounded compass search (Hooke & Jeeves 1961; Kolda, Lewis &
+Torczon 2003) polishes the lattice winner. The compass search moves only to
+a strictly higher point, so the result is never below any lattice value.
+The same lattice scan, at any step, is ``grid_search_centroid``.
 """
 
 from __future__ import annotations
@@ -26,9 +26,11 @@ logger = logging.getLogger(__name__)
 
 # Global phase of solve_centroid: 11^3 = 1331 lattice points.
 _LATTICE_STEP = 0.1
-# Nelder-Mead polish from the lattice winner.
-_POLISH_MAX_ITERATIONS = 2000
-_POLISH_TOLERANCE = 1e-6
+# Compass polish of the lattice winner: first step h, the h at which it
+# stops, and the six directions +-e along each axis.
+_COMPASS_STEP = 0.05
+_COMPASS_MIN_STEP = 1e-9
+_COMPASS_DIRECTIONS = np.vstack([np.eye(3), -np.eye(3)])
 
 
 @dataclass(frozen=True)
@@ -55,14 +57,18 @@ def points_array(points: Sequence) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
+def _check_eps(eps: float) -> None:
+    if not (0.0 <= eps < math.inf):  # also rejects nan
+        raise ValueError(f"eps {eps} must be finite and >= 0")
+
+
 def objective(m, targets: Sequence, neutrals: Sequence, eps: float) -> float:
     """Distance-ratio objective at candidate center m.
 
     mean distance to the target-class points divided by (mean distance to
     the neutral points + eps). Larger is better.
     """
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
+    _check_eps(eps)
     t_arr = points_array(targets)
     n_arr = points_array(neutrals)
     m_arr = np.asarray(
@@ -70,15 +76,6 @@ def objective(m, targets: Sequence, neutrals: Sequence, eps: float) -> float:
     if m_arr.shape != (3,):
         raise ValueError("candidate center must have 3 components")
     return float(_kernels.distance_ratio(m_arr, t_arr, n_arr, eps))
-
-
-def _simplex_from(x0: np.ndarray, step: float = 0.1) -> np.ndarray:
-    """Axis-aligned initial simplex around x0, kept inside the cube."""
-    sim = np.tile(x0, (4, 1))
-    for i in range(3):
-        delta = step if x0[i] + step <= 1.0 else -step
-        sim[i + 1, i] = min(1.0, max(0.0, x0[i] + delta))
-    return sim
 
 
 def _lattice_argmax(t_arr: np.ndarray, n_arr: np.ndarray, step: float,
@@ -101,41 +98,30 @@ def solve_centroid(targets: Sequence, neutrals: Sequence,
                    emotion: str | None = None) -> Centroid:
     """Maximize the distance-ratio objective over the VAD cube.
 
-    Scans the step-0.1 lattice, then runs one Nelder-Mead search from its
-    best point, with every candidate clipped to [0, 1]^3 (scipy clips to the
-    bounds). The polished point replaces the lattice point only if its
-    objective is higher, so the result lies in the cube and its objective is
-    at least that of every lattice point. No randomness: the same inputs give
-    the same Centroid, bit for bit.
+    Scans the step-0.1 lattice, then runs a compass search from its best
+    point: each step scores the six points +-h along each axis, clipped to
+    [0, 1]^3, and moves to the best of them if its objective (re-scored with
+    ``_kernels.distance_ratio``) is strictly higher, else halves h, from
+    h = 0.05 down to 1e-9. So the result lies in the cube and its objective
+    is at least that of every lattice point. No randomness: the same inputs
+    give the same Centroid, bit for bit.
     """
-    # Imported here, not at module top: scipy.optimize takes about 0.6 s to
-    # load (2-core VM), and of the CLI only `fit` reaches this function.
-    from scipy.optimize import minimize
-
     cfg = cfg or SolverConfig()
     t_arr = points_array(targets)
     n_arr = points_array(neutrals)
     eps = cfg.denominator_epsilon
-
-    def neg(x: np.ndarray) -> float:
-        return -float(_kernels.distance_ratio(x, t_arr, n_arr, eps))
-
     best_point = np.array(_lattice_argmax(t_arr, n_arr, _LATTICE_STEP, eps))
-    best_value = -neg(best_point)
-    res = minimize(
-        neg, best_point, method="Nelder-Mead",
-        bounds=[(0.0, 1.0)] * 3,
-        options={
-            "maxiter": _POLISH_MAX_ITERATIONS,
-            "xatol": _POLISH_TOLERANCE,
-            "fatol": _POLISH_TOLERANCE,
-            "initial_simplex": _simplex_from(best_point),
-        },
-    )
-    polished = np.clip(res.x, 0.0, 1.0)
-    polished_value = -neg(polished)
-    if polished_value > best_value:
-        best_point, best_value = polished, polished_value
+    best_value = _kernels.distance_ratio(best_point, t_arr, n_arr, eps)
+    h = _COMPASS_STEP
+    while h > _COMPASS_MIN_STEP:
+        stencil = np.clip(best_point + h * _COMPASS_DIRECTIONS, 0.0, 1.0)
+        values = _kernels.objective_values(stencil, t_arr, n_arr, eps)
+        point = stencil[int(np.argmax(values))]
+        value = _kernels.distance_ratio(point, t_arr, n_arr, eps)
+        if value > best_value:
+            best_point, best_value = point, value
+        else:
+            h *= 0.5
     logger.debug("solve_centroid: best objective %.6f at %s", best_value, best_point)
     return Centroid(point=tuple(float(x) for x in best_point),
                     mode=MODE_EMOTION_ADAPTIVE, emotion=emotion,
@@ -152,6 +138,7 @@ def grid_search_centroid(targets: Sequence, neutrals: Sequence, step: float,
     """
     if not (0.0 < step <= 0.5):
         raise ValueError(f"step {step} must be in (0, 0.5]")
+    _check_eps(eps)
     point = _lattice_argmax(points_array(targets), points_array(neutrals), step, eps)
     return Centroid(point=point, mode=MODE_EMOTION_ADAPTIVE, emotion=emotion,
                     objective=objective(point, targets, neutrals, eps))

@@ -158,8 +158,8 @@ def fit_easv_model(manifest: DatasetManifest,
                    cfg: SolverConfig | None = None) -> EasvModel:
     """Fit centroids and per-class radius bounds for every non-neutral class.
 
-    Requires at least one neutral record and at least MIN_CLASS_RECORDS
-    records per non-neutral class. Radii of constant spread (all class
+    Requires at least one neutral record, at least one non-neutral class and
+    at least MIN_CLASS_RECORDS records per non-neutral class. Radii of constant spread (all class
     points equidistant from the centroid) are rejected because they leave
     nothing to normalize.
     """
@@ -188,6 +188,8 @@ def fit_easv_model(manifest: DatasetManifest,
         bounds[emotion] = class_bounds
         logger.info("fit class '%s': centroid %s objective %.4f",
                     emotion, centroid.point, centroid.objective)
+    if not centroids:
+        raise ValueError("no non-neutral class")
     return EasvModel(centroids=centroids, bounds=bounds,
                      neutral_label=manifest.neutral_label)
 

@@ -37,6 +37,9 @@ def test_objective_rejects_empty():
         objective((0, 0, 0), [], [VadPoint(0, 1, 0)], eps=0.0)
     with pytest.raises(ValueError):
         objective((0, 0, 0), [VadPoint(0, 1, 0)], [], eps=0.0)
+    for eps in (math.nan, math.inf, -1e-6):
+        with pytest.raises(ValueError, match="eps"):
+            objective((0, 0, 0), [VadPoint(1, 0, 0)], [VadPoint(0, 1, 0)], eps=eps)
 
 
 def test_objective_continuity_property():
@@ -90,6 +93,9 @@ def test_solver_beats_every_start():
     starts += list(np.random.default_rng(3).uniform(0, 1, (8, 3)))
     axis = np.arange(11) * 0.1
     starts += [np.array((a, b, c)) for a in axis for b in axis for c in axis]
+    # the solution's axis neighbours: a local polish must leave none higher
+    starts += [np.clip(np.array(sol.point) + sign * h * e, 0.0, 1.0)
+               for h in (1e-3, 1e-5, 1e-7) for sign in (1, -1) for e in np.eye(3)]
     for x0 in starts:
         assert sol.objective >= objective(x0, targets, neutrals,
                                           cfg.denominator_epsilon) - 1e-12
@@ -113,6 +119,9 @@ def test_grid_step_validation():
         grid_search_centroid(targets, targets, step=0.0)
     with pytest.raises(ValueError):
         grid_search_centroid(targets, targets, step=0.6)
+    for eps in (math.nan, math.inf, -1e-6):
+        with pytest.raises(ValueError, match="eps"):
+            grid_search_centroid(targets, targets, step=0.5, eps=eps)
 
 
 def test_grid_tie_break_lexicographic():

@@ -208,6 +208,16 @@ def test_missing_input_file_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_fit_without_non_neutral_class_exits_1(tmp_path, capsys):
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(json.dumps({"id": "n1", "speaker": "s", "emotion": "neutral",
+                                    "vad": [0.5, 0.5, 0.5]}) + "\n")
+    out = tmp_path / "model.json"
+    assert run(["fit", "--manifest", str(manifest), "--out", str(out)]) == 1
+    assert "no non-neutral class" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unwritable_out_path_exits_1(tmp_path, manifest_file, capsys):
     out = tmp_path / "no" / "such" / "dir" / "model.json"
     assert run(["fit", "--manifest", str(manifest_file), "--out", str(out)]) == 1
@@ -470,8 +480,8 @@ def test_extract_stdout(tmp_path, manifest_file, capsys):
                for e in neutral)
 
 
-def test_only_fit_loads_scipy(tmp_path):
-    """scipy.optimize is slow to import, so only `fit` may load it."""
+def test_no_subcommand_loads_scipy(tmp_path):
+    """The package depends on numpy alone: no subcommand, `fit` included, loads scipy."""
     from vadsphere import AudioBuffer, estimate_f0
     from vadsphere.prosody import track_to_text
     sr = 16000
@@ -526,4 +536,4 @@ def test_only_fit_loads_scipy(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen == [[name, 0, name == "fit"] for name, _ in commands]
+    assert seen == [[name, 0, False] for name, _ in commands]

@@ -39,3 +39,9 @@ def test_grid_values_match_scalar_objective():
         m = np.array([AXIS[i], AXIS[j], AXIS[k]])
         direct = _kernels.distance_ratio(m, TARGETS, NEUTRALS, 1e-6)
         assert values[idx] == pytest.approx(direct, abs=1e-9)
+    points = np.random.default_rng(8).uniform(0.0, 1.0, (20, 3))
+    values = _kernels.objective_values(points, TARGETS, NEUTRALS, 1e-6)
+    assert values.shape == (20,)
+    for m, value in zip(points, values):
+        direct = _kernels.distance_ratio(m, TARGETS, NEUTRALS, 1e-6)
+        assert value == pytest.approx(direct, abs=1e-9)
