@@ -159,9 +159,9 @@ def fit_easv_model(manifest: DatasetManifest,
     """Fit centroids and per-class radius bounds for every non-neutral class.
 
     Requires at least one neutral record, at least one non-neutral class and
-    at least MIN_CLASS_RECORDS records per non-neutral class. Radii of constant spread (all class
-    points equidistant from the centroid) are rejected because they leave
-    nothing to normalize.
+    at least MIN_CLASS_RECORDS records per non-neutral class. Radii of
+    constant spread (all class points equidistant from the centroid) are
+    rejected because they leave nothing to normalize.
     """
     cfg = cfg or SolverConfig()
     neutrals = [r.vad for r in manifest.neutral_records()]
