@@ -26,7 +26,7 @@ import numpy as np
 from .analysis import build_report, render_report
 from .centroid import SolverConfig
 from .geometry import MODE_NEUTRAL_MEAN, Centroid, StyleOctant, VadPoint, neutral_center
-from .manifest import DatasetManifest, parse_manifest, read_wav
+from .manifest import line_error, parse_lines, parse_manifest, read_wav, unique_ids
 from .metrics import eca, eecs, orthogonality_loss, pair_order_accuracy, svas
 from .pipeline import (
     ControlSpec,
@@ -97,57 +97,51 @@ def _emit(text: str, out_path: str | None) -> None:
         raise
 
 
-def _load_manifest(path: str, neutral_label: str) -> DatasetManifest:
+def _parse_file(path: str, parse, *args):
+    """parse(text of the file at path, *args), with the path prefixed to a ValueError."""
     try:
-        return parse_manifest(Path(path), neutral_label=neutral_label)
+        return parse(Path(path).read_text(encoding="utf-8"), *args)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _read_vectors(path: str) -> np.ndarray:
-    """Line-delimited vectors: space-separated decimals, one vector per line."""
-    rows = []
-    line_nos = []
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            rows.append([float(x) for x in line.split()])
-        except ValueError:
-            raise ValueError(f"{path}: line {line_no}: not a numeric vector") from None
-        line_nos.append(line_no)
-    if not rows:
-        raise ValueError(f"{path}: no vectors found")
+def _nonblank(text: str, parse_line, what: str) -> list[tuple[int, object]]:
+    """parse_lines(text, parse_line), which must find at least one line."""
+    numbered = parse_lines(text, parse_line)
+    if not numbered:
+        raise ValueError(f"no {what} found")
+    return numbered
+
+
+def _stripped_lines(text: str, what: str) -> list[str]:
+    """The non-blank lines, stripped: a label file or a wav list."""
+    return [line for _, line in _nonblank(text, str.strip, what)]
+
+
+def _parse_vector(line: str) -> list[float]:
+    try:
+        return [float(x) for x in line.split()]
+    except ValueError:
+        raise ValueError("not a numeric vector") from None
+
+
+def _parse_vectors(text: str) -> tuple[tuple[int, ...], np.ndarray]:
+    """Line-delimited vectors, space-separated decimals: their line numbers and array."""
+    line_nos, rows = zip(*_nonblank(text, _parse_vector, "vectors"))
     dim = len(rows[0])
-    if any(len(r) != dim for r in rows):
-        raise ValueError(f"{path}: inconsistent vector dimensions")
+    if any(len(row) != dim for row in rows):
+        raise ValueError("inconsistent vector dimensions")
     arr = np.asarray(rows, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        bad_row = int(np.flatnonzero(~np.isfinite(arr).all(axis=1))[0])
-        raise ValueError(f"{path}: line {line_nos[bad_row]}: non-finite value")
-    return arr
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        raise line_error(line_nos[int(np.argmin(finite))], "non-finite value")
+    return line_nos, arr
 
 
-def _read_labels(path: str) -> list[str]:
-    labels = [line.strip() for line in Path(path).read_text(encoding="utf-8").splitlines()
-              if line.strip()]
-    if not labels:
-        raise ValueError(f"{path}: no labels found")
-    return labels
-
-
-def _parse_file(path: str, parse):
-    """parse(text of the file at path), with the path prefixed to a ValueError."""
-    try:
-        return parse(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
-def _read_vad_points(path: str) -> list[VadPoint]:
-    arr = _read_vectors(path)
+def _parse_vad_points(text: str) -> list[VadPoint]:
+    _, arr = _parse_vectors(text)
     if arr.shape[1] != 3:
-        raise ValueError(f"{path}: expected 3 values per line, got {arr.shape[1]}")
+        raise ValueError(f"expected 3 values per line, got {arr.shape[1]}")
     return [VadPoint(*row) for row in arr]
 
 
@@ -171,7 +165,7 @@ def _f0_config(args) -> F0Config:
 # ---------------------------------------------------------------------------
 
 def _cmd_fit(args) -> tuple[str, str | None]:
-    manifest = _load_manifest(args.manifest, args.neutral_label)
+    manifest = _parse_file(args.manifest, parse_manifest, args.neutral_label)
     cfg = SolverConfig(denominator_epsilon=args.denominator_epsilon)
     model = fit_easv_model(manifest, cfg)
     return model_to_json(model, cfg), args.out
@@ -179,7 +173,7 @@ def _cmd_fit(args) -> tuple[str, str | None]:
 
 def _cmd_extract(args) -> tuple[str, str | None]:
     model = _parse_file(args.model, model_from_json)
-    manifest = _load_manifest(args.manifest, model.neutral_label)
+    manifest = _parse_file(args.manifest, parse_manifest, model.neutral_label)
     easvs = extract_easv_set(manifest, model)
     return easv_set_to_jsonl(easvs), args.out
 
@@ -197,8 +191,8 @@ def _cmd_control_vec(args) -> tuple[str, str | None]:
 
 
 def _cmd_svas(args) -> tuple[str, str | None]:
-    synth = _read_vad_points(args.synth)
-    ref = _read_vad_points(args.ref)
+    synth = _parse_file(args.synth, _parse_vad_points)
+    ref = _parse_file(args.ref, _parse_vad_points)
     if len(synth) != len(ref):
         raise ValueError(f"length mismatch: {len(synth)} synth vs {len(ref)} ref points")
     if args.center is not None:
@@ -210,7 +204,7 @@ def _cmd_svas(args) -> tuple[str, str | None]:
             raise ValueError(f"--center expects 'v,a,d', got {args.center!r}")
         center = Centroid(point=tuple(parts), mode=MODE_NEUTRAL_MEAN)
     elif args.manifest is not None:
-        manifest = _load_manifest(args.manifest, args.neutral_label)
+        manifest = _parse_file(args.manifest, parse_manifest, args.neutral_label)
         neutrals = [r.vad for r in manifest.neutral_records()]
         if not neutrals:
             raise ValueError("no neutral records in manifest to derive a center from")
@@ -235,18 +229,19 @@ def _cmd_metrics(args) -> tuple[str, str | None]:
         raise ValueError("--track-a and --track-b must be given together")
 
     if args.emb_a is not None:
-        a = _read_vectors(args.emb_a)
-        b = _read_vectors(args.emb_b)
+        _, a = _parse_file(args.emb_a, _parse_vectors)
+        _, b = _parse_file(args.emb_b, _parse_vectors)
         if a.shape != b.shape:
             raise ValueError(f"embedding shape mismatch: {a.shape} vs {b.shape}")
         values = [eecs(ra, rb) for ra, rb in zip(a, b)]
         results.append(("eecs", float(np.mean(values))))
     if args.speaker_emb is not None:
         results.append(("orthogonality_loss", orthogonality_loss(
-            _read_vectors(args.speaker_emb), _read_vectors(args.emotion_emb))))
+            _parse_file(args.speaker_emb, _parse_vectors)[1],
+            _parse_file(args.emotion_emb, _parse_vectors)[1])))
     if args.pred_labels is not None:
-        results.append(("eca", eca(_read_labels(args.pred_labels),
-                                   _read_labels(args.ref_labels))))
+        results.append(("eca", eca(_parse_file(args.pred_labels, _stripped_lines, "labels"),
+                                   _parse_file(args.ref_labels, _stripped_lines, "labels"))))
     if args.track_a is not None:
         track_a = _parse_file(args.track_a, track_from_text)
         track_b = _parse_file(args.track_b, track_from_text)
@@ -276,18 +271,14 @@ def _cmd_prosody(args) -> tuple[str, str | None]:
     if (args.manifest is None) == (args.wav_list is None):
         raise ValueError("prosody needs exactly one of --manifest or --wav-list")
     if args.manifest is not None:
-        manifest = _load_manifest(args.manifest, args.neutral_label)
+        manifest = _parse_file(args.manifest, parse_manifest, args.neutral_label)
         jobs_input = []
         for record in manifest.records:
             if record.audio_path is None:
                 raise ValueError(f"record '{record.id}' has no audio_path")
             jobs_input.append((record.id, record.audio_path))
     else:
-        paths = [line.strip() for line in
-                 Path(args.wav_list).read_text(encoding="utf-8").splitlines()
-                 if line.strip()]
-        if not paths:
-            raise ValueError(f"{args.wav_list}: no wav paths found")
+        paths = _parse_file(args.wav_list, _stripped_lines, "wav paths")
         jobs_input = sorted((p, p) for p in paths)
 
     def work(item: tuple[str, str]) -> tuple[str, ProsodyStats]:
@@ -303,55 +294,51 @@ def _cmd_prosody(args) -> tuple[str, str | None]:
     return "\n".join(lines) + "\n", args.out
 
 
-def _read_prosody_file(path: str) -> dict[str, ProsodyStats]:
-    out: dict[str, ProsodyStats] = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            pitch = obj["pitch_mean_hz"]
-            stats = out[obj["id"]] = ProsodyStats(
-                pitch_mean_hz=float(pitch) if pitch is not None else None,
-                energy_mean=float(obj["energy_mean"]),
-                duration_s=float(obj["duration_s"]),
-            )
-        except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
-            raise ValueError(f"{path}: line {line_no}: bad prosody record ({exc})") from exc
-        if not all(math.isfinite(v) for v in (stats.pitch_mean_hz, stats.energy_mean,
-                                              stats.duration_s) if v is not None):
-            raise ValueError(f"{path}: line {line_no}: non-finite value")
-    return out
+def _parse_prosody_line(line: str) -> tuple[str, ProsodyStats]:
+    try:
+        obj = json.loads(line)
+        rec_id, pitch = obj["id"], obj["pitch_mean_hz"]
+        hash(rec_id)  # a list or object cannot be an id
+        stats = ProsodyStats(
+            pitch_mean_hz=float(pitch) if pitch is not None else None,
+            energy_mean=float(obj["energy_mean"]),
+            duration_s=float(obj["duration_s"]),
+        )
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        raise ValueError(f"bad prosody record ({exc})") from exc
+    if not all(math.isfinite(v) for v in (stats.pitch_mean_hz, stats.energy_mean,
+                                          stats.duration_s) if v is not None):
+        raise ValueError("non-finite value")
+    return rec_id, stats
 
 
 def _cmd_analyze(args) -> tuple[str, str | None]:
-    manifest = _load_manifest(args.manifest, args.neutral_label)
+    manifest = _parse_file(args.manifest, parse_manifest, args.neutral_label)
     easvs = _parse_file(args.easv, easv_set_from_jsonl)
-    prosody = _read_prosody_file(args.prosody)
+    prosody = _parse_file(args.prosody,
+                          lambda text: unique_ids(parse_lines(text, _parse_prosody_line)))
     report = build_report(easvs, prosody, manifest)
     return render_report(report, args.format), args.out
 
 
+def _parse_pair(line: str) -> tuple[float, float, bool]:
+    parts = line.split()
+    if len(parts) != 3:
+        raise ValueError("expected 'r_low r_high judged'")
+    flag = parts[2].lower()
+    if flag not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError("judged must be 0/1/true/false")
+    try:
+        r_low, r_high = float(parts[0]), float(parts[1])
+    except ValueError:
+        raise ValueError("non-numeric radius") from None
+    if not (math.isfinite(r_low) and math.isfinite(r_high)):
+        raise ValueError("non-finite radius")
+    return r_low, r_high, flag in ("1", "true", "yes")
+
+
 def _cmd_pair_acc(args) -> tuple[str, str | None]:
-    pairs = []
-    truthy = {"1", "true", "yes"}
-    falsy = {"0", "false", "no"}
-    for line_no, line in enumerate(Path(args.pairs).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"{args.pairs}: line {line_no}: expected 'r_low r_high judged'")
-        flag = parts[2].lower()
-        if flag not in truthy | falsy:
-            raise ValueError(f"{args.pairs}: line {line_no}: judged must be 0/1/true/false")
-        try:
-            r_low, r_high = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise ValueError(f"{args.pairs}: line {line_no}: non-numeric radius") from None
-        if not (math.isfinite(r_low) and math.isfinite(r_high)):
-            raise ValueError(f"{args.pairs}: line {line_no}: non-finite radius")
-        pairs.append((r_low, r_high, flag in truthy))
+    pairs = [pair for _, pair in _parse_file(args.pairs, parse_lines, _parse_pair)]
     acc = pair_order_accuracy(pairs)
     return f"pair_order_accuracy\t{acc!r}\n", args.out
 

@@ -113,75 +113,92 @@ def _coerce_text(source) -> str:
     raise TypeError(f"unsupported manifest source type {type(source)!r}")
 
 
-def _parse_vad(raw, line_no: int) -> VadPoint:
+def parse_lines(text: str, parse_line) -> list[tuple[int, object]]:
+    """(line number, parse_line(line)) for each non-blank line, numbered from 1;
+    a ValueError from parse_line is raised again as `line N: <message>`."""
+    numbered = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if line.strip():
+            try:
+                numbered.append((line_no, parse_line(line)))
+            except ValueError as exc:
+                raise line_error(line_no, exc) from exc
+    return numbered
+
+
+def line_error(line_no: int, message) -> ValueError:
+    """The error for a fault found on line `line_no` of an input."""
+    return ValueError(f"line {line_no}: {message}")
+
+
+def unique_ids(numbered: list[tuple[int, tuple]]) -> dict:
+    """{id: value} from parse_lines output of (id, value) pairs; ids must be unique."""
+    out = {}
+    for line_no, (key, value) in numbered:
+        if key in out:
+            first = next(n for n, (k, _) in numbered if k == key)
+            raise line_error(line_no, f"duplicate id '{key}' (first seen at line {first})")
+        out[key] = value
+    return out
+
+
+def _parse_vad(raw) -> VadPoint:
     if not isinstance(raw, (list, tuple)) or len(raw) != 3:
-        raise ValueError(f"line {line_no}: vad must be a 3-element array")
-    values = []
-    for component in raw:
-        if not isinstance(component, (int, float)) or isinstance(component, bool):
-            raise ValueError(f"line {line_no}: vad components must be numbers")
-        values.append(float(component))
-    if any(not (0.0 <= value <= 1.0) for value in values):
-        raise ValueError(f"vad out of range at line {line_no}")
-    return VadPoint(*values)
+        raise ValueError("vad must be a 3-element array")
+    if not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in raw):
+        raise ValueError("vad components must be numbers")
+    if not all(0.0 <= c <= 1.0 for c in raw):
+        raise ValueError("vad out of range")
+    return VadPoint(*map(float, raw))
 
 
-def _parse_embedding(raw, key: str, line_no: int) -> tuple[float, ...]:
+def _parse_embedding(obj: dict, key: str) -> tuple[float, ...] | None:
+    raw = obj.get(key)
+    if raw is None:
+        return None
     if not isinstance(raw, (list, tuple)) or len(raw) == 0:
-        raise ValueError(f"line {line_no}: {key} must be a non-empty array")
+        raise ValueError(f"{key} must be a non-empty array")
     try:
         values = tuple(float(x) for x in raw)
     except (TypeError, ValueError):
-        raise ValueError(f"line {line_no}: {key} must contain only numbers") from None
+        raise ValueError(f"{key} must contain only numbers") from None
     if not all(math.isfinite(x) for x in values):
-        raise ValueError(f"line {line_no}: {key} must contain only finite numbers")
+        raise ValueError(f"{key} must contain only finite numbers")
     return values
+
+
+def _parse_record(line: str) -> tuple[str, UtteranceRecord]:
+    """One manifest line as (id, record)."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed record: {exc.msg}") from exc
+    if not isinstance(obj, dict):
+        raise ValueError("record must be a key/value object")
+    for key in REQUIRED_KEYS:
+        if key not in obj:
+            raise ValueError(f"missing required key '{key}'")
+    record = UtteranceRecord(
+        id=str(obj["id"]),
+        speaker=str(obj["speaker"]),
+        emotion=str(obj["emotion"]),
+        vad=_parse_vad(obj["vad"]),
+        audio_path=str(obj["audio_path"]) if obj.get("audio_path") is not None else None,
+        emo_embedding=_parse_embedding(obj, "emo_embedding"),
+        spk_embedding=_parse_embedding(obj, "spk_embedding"),
+    )
+    return record.id, record
 
 
 def parse_manifest(source, neutral_label: str = "neutral") -> DatasetManifest:
     """Parse a line-delimited manifest from bytes, text, a path, or a stream.
 
-    Blank lines are skipped. Raises ValueError with the offending line number
-    on malformed records, missing keys, out-of-range VAD values, and
-    duplicate ids.
+    Raises ValueError naming the line of a malformed record, a missing key,
+    an out-of-range VAD value or a duplicate id.
     """
-    text = _coerce_text(source)
-    records: list[UtteranceRecord] = []
-    seen_ids: dict[str, int] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {line_no}: malformed record: {exc.msg}") from exc
-        if not isinstance(obj, dict):
-            raise ValueError(f"line {line_no}: record must be a key/value object")
-        for key in REQUIRED_KEYS:
-            if key not in obj:
-                raise ValueError(f"line {line_no}: missing required key '{key}'")
-        rec_id = str(obj["id"])
-        if rec_id in seen_ids:
-            raise ValueError(
-                f"line {line_no}: duplicate id '{rec_id}' (first seen at line {seen_ids[rec_id]})")
-        seen_ids[rec_id] = line_no
-        vad = _parse_vad(obj["vad"], line_no)
-        audio_path = str(obj["audio_path"]) if obj.get("audio_path") is not None else None
-        emo_emb = (_parse_embedding(obj["emo_embedding"], "emo_embedding", line_no)
-                   if obj.get("emo_embedding") is not None else None)
-        spk_emb = (_parse_embedding(obj["spk_embedding"], "spk_embedding", line_no)
-                   if obj.get("spk_embedding") is not None else None)
-        records.append(UtteranceRecord(
-            id=rec_id,
-            speaker=str(obj["speaker"]),
-            emotion=str(obj["emotion"]),
-            vad=vad,
-            audio_path=audio_path,
-            emo_embedding=emo_emb,
-            spk_embedding=spk_emb,
-        ))
-    records.sort(key=lambda r: r.id)
-    return DatasetManifest(records=tuple(records), neutral_label=neutral_label)
+    by_id = unique_ids(parse_lines(_coerce_text(source), _parse_record))
+    return DatasetManifest(records=tuple(by_id[k] for k in sorted(by_id)),
+                           neutral_label=neutral_label)
 
 
 def serialize_manifest(manifest: DatasetManifest) -> str:

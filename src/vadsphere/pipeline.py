@@ -31,7 +31,7 @@ from .geometry import (
     shift,
     to_spherical,
 )
-from .manifest import DatasetManifest, UtteranceRecord
+from .manifest import DatasetManifest, UtteranceRecord, parse_lines, unique_ids
 
 logger = logging.getLogger(__name__)
 
@@ -301,24 +301,20 @@ def easv_set_to_jsonl(easvs: Mapping[str, Easv]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _parse_easv_line(line: str) -> tuple[str, Easv]:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed EASV record: {exc.msg}") from exc
+    try:
+        return str(obj["id"]), Easv(r_iqr=float(obj["r_iqr"]), theta=float(obj["theta"]),
+                                    phi=float(obj["phi"]), emotion=str(obj["emotion"]))
+    except KeyError as exc:
+        raise ValueError(f"bad EASV record (missing key {exc})") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad EASV record ({exc})") from exc
+
+
 def easv_set_from_jsonl(text: str) -> dict[str, Easv]:
-    out: dict[str, Easv] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {line_no}: malformed EASV record: {exc.msg}") from exc
-        try:
-            rec_id = str(obj["id"])
-            easv = Easv(r_iqr=float(obj["r_iqr"]), theta=float(obj["theta"]),
-                        phi=float(obj["phi"]), emotion=str(obj["emotion"]))
-        except KeyError as exc:
-            raise ValueError(f"line {line_no}: bad EASV record (missing key {exc})") from exc
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"line {line_no}: bad EASV record ({exc})") from exc
-        if rec_id in out:
-            raise ValueError(f"line {line_no}: duplicate id '{rec_id}'")
-        out[rec_id] = easv
-    return out
+    """Parse easv_set_to_jsonl output; a fault or a duplicate id names its line."""
+    return unique_ids(parse_lines(text, _parse_easv_line))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .manifest import AudioBuffer
+from .manifest import AudioBuffer, parse_lines
 
 MIN_SAMPLE_RATE = 8000
 
@@ -241,39 +241,38 @@ def track_to_text(track: F0Track) -> str:
     return "\n".join(lines) + "\n"
 
 
-def track_from_text(text: str) -> F0Track:
-    hop = None
-    sample_rate = None
-    f0, voiced, periodicity = [], [], []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, value = line[1:].partition("=")
-            key = key.strip()
-            try:
-                if key == "hop":
-                    hop = int(value)
-                elif key == "sample_rate":
-                    sample_rate = int(value)
-            except ValueError:
-                raise ValueError(f"line {line_no}: non-integer {key}") from None
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise ValueError(f"line {line_no}: expected 'frame f0 voiced periodicity'")
+def _parse_track_line(line: str) -> tuple[str | None, object]:
+    """A `# key=value` header as (key, value); a frame as (None, (f0, voiced, periodicity))."""
+    line = line.strip()
+    if line.startswith("#"):
+        key, _, value = line[1:].partition("=")
+        key = key.strip()
+        if key not in ("hop", "sample_rate"):
+            return key, None  # any other comment is ignored
         try:
-            f0_hz, is_voiced, per = float(parts[1]), bool(int(parts[2])), float(parts[3])
+            return key, int(value)
         except ValueError:
-            raise ValueError(f"line {line_no}: non-numeric field") from None
-        if not (math.isfinite(f0_hz) and math.isfinite(per)):
-            raise ValueError(f"line {line_no}: non-finite f0 or periodicity")
-        f0.append(f0_hz)
-        voiced.append(is_voiced)
-        periodicity.append(per)
-    if hop is None or sample_rate is None:
+            raise ValueError(f"non-integer {key}") from None
+    parts = line.split()
+    if len(parts) != 4:
+        raise ValueError("expected 'frame f0 voiced periodicity'")
+    try:
+        f0_hz, is_voiced, per = float(parts[1]), bool(int(parts[2])), float(parts[3])
+    except ValueError:
+        raise ValueError("non-numeric field") from None
+    if not (math.isfinite(f0_hz) and math.isfinite(per)):
+        raise ValueError("non-finite f0 or periodicity")
+    return None, (f0_hz, is_voiced, per)
+
+
+def track_from_text(text: str) -> F0Track:
+    """Parse track_to_text output; a malformed line is an error naming it."""
+    numbered = parse_lines(text, _parse_track_line)
+    header = {key: value for _, (key, value) in numbered if key is not None}
+    if header.get("hop") is None or header.get("sample_rate") is None:
         raise ValueError("track text missing '# hop=' or '# sample_rate=' header")
+    frames = [frame for _, (key, frame) in numbered if key is None]
+    f0, voiced, periodicity = zip(*frames) if frames else ((), (), ())
     return F0Track(f0_hz=np.array(f0), voiced=np.array(voiced, dtype=bool),
-                   periodicity=np.array(periodicity), hop=hop,
-                   sample_rate=sample_rate)
+                   periodicity=np.array(periodicity), hop=header["hop"],
+                   sample_rate=header["sample_rate"])

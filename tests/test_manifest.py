@@ -39,7 +39,7 @@ def test_parse_sorts_by_id():
 
 def test_parse_vad_out_of_range():
     line = '{"id":"u1","speaker":"s","emotion":"happy","vad":[1.2,0,0]}'
-    with pytest.raises(ValueError, match="vad out of range at line 1"):
+    with pytest.raises(ValueError, match="^line 1: vad out of range$"):
         parse_manifest(line)
 
 
