@@ -128,9 +128,9 @@ def _parse_vector(line: str) -> list[float]:
 def _parse_vectors(text: str) -> tuple[tuple[int, ...], np.ndarray]:
     """Line-delimited vectors, space-separated decimals: their line numbers and array."""
     line_nos, rows = zip(*_nonblank(text, _parse_vector, "vectors"))
-    dim = len(rows[0])
-    if any(len(row) != dim for row in rows):
-        raise ValueError("inconsistent vector dimensions")
+    odd = next((n for n, row in zip(line_nos, rows) if len(row) != len(rows[0])), None)
+    if odd is not None:
+        raise line_error(odd, "inconsistent vector dimensions")
     arr = np.asarray(rows, dtype=np.float64)
     finite = np.isfinite(arr).all(axis=1)
     if not finite.all():
@@ -139,10 +139,16 @@ def _parse_vectors(text: str) -> tuple[tuple[int, ...], np.ndarray]:
 
 
 def _parse_vad_points(text: str) -> list[VadPoint]:
-    _, arr = _parse_vectors(text)
+    line_nos, arr = _parse_vectors(text)
     if arr.shape[1] != 3:
         raise ValueError(f"expected 3 values per line, got {arr.shape[1]}")
-    return [VadPoint(*row) for row in arr]
+    points = []
+    for line_no, row in zip(line_nos, arr):
+        try:
+            points.append(VadPoint(*row))
+        except ValueError as exc:
+            raise line_error(line_no, exc) from exc
+    return points
 
 
 def _parse_intensity(raw: str) -> float:
@@ -271,7 +277,7 @@ def _cmd_prosody(args) -> tuple[str, str | None]:
     if (args.manifest is None) == (args.wav_list is None):
         raise ValueError("prosody needs exactly one of --manifest or --wav-list")
     if args.manifest is not None:
-        manifest = _parse_file(args.manifest, parse_manifest, args.neutral_label)
+        manifest = _parse_file(args.manifest, parse_manifest)
         jobs_input = []
         for record in manifest.records:
             if record.audio_path is None:
@@ -338,7 +344,7 @@ def _parse_pair(line: str) -> tuple[float, float, bool]:
 
 
 def _cmd_pair_acc(args) -> tuple[str, str | None]:
-    pairs = [pair for _, pair in _parse_file(args.pairs, parse_lines, _parse_pair)]
+    pairs = [pair for _, pair in _parse_file(args.pairs, _nonblank, _parse_pair, "pairs")]
     acc = pair_order_accuracy(pairs)
     return f"pair_order_accuracy\t{acc!r}\n", args.out
 
@@ -425,7 +431,6 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", default=None,
                    help="manifest with audio_path entries (ids key the output)")
     p.add_argument("--wav-list", default=None, help="file with one wav path per line")
-    p.add_argument("--neutral-label", default="neutral")
     p.add_argument("--jobs", type=int, default=1, help="worker threads for per-utterance work")
     p.add_argument("--out", default=None)
     _add_f0_flags(p)

@@ -1,10 +1,16 @@
-"""Dataset manifest parsing and WAV loading.
+"""Line-oriented input, dataset manifest parsing and WAV loading.
+
+Every line-oriented input format is read through ``parse_lines``: blank and
+whitespace-only lines are skipped, lines are numbered from 1, and a fault
+in one line is a ValueError reading ``line N: <message>``. ``unique_ids``
+rejects an id seen twice, naming both lines.
 
 Manifests are UTF-8 text with one JSON object per line. Required keys:
-``id``, ``speaker``, ``emotion``, ``vad`` (3-element array in [0, 1]).
-Optional keys: ``audio_path``, ``emo_embedding``, ``spk_embedding``.
-Unknown keys are ignored. Records are kept sorted by id so downstream
-aggregation is deterministic.
+``id``, ``speaker``, ``emotion`` (each a string, or a number read as
+text), ``vad`` (3-element array in [0, 1]). Optional keys:
+``audio_path``, ``emo_embedding``, ``spk_embedding``. Unknown keys are
+ignored. Records are kept sorted by id so downstream aggregation is
+deterministic.
 
 WAV support is deliberately narrow: RIFF little-endian, 16-bit signed PCM,
 mono or multichannel (downmixed by channel mean). No resampling, no
@@ -167,6 +173,13 @@ def _parse_embedding(obj: dict, key: str) -> tuple[float, ...] | None:
     return values
 
 
+def _parse_label(obj: dict, key: str) -> str:
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(f"{key} must be a string or number")
+    return str(value)
+
+
 def _parse_record(line: str) -> tuple[str, UtteranceRecord]:
     """One manifest line as (id, record)."""
     try:
@@ -179,9 +192,9 @@ def _parse_record(line: str) -> tuple[str, UtteranceRecord]:
         if key not in obj:
             raise ValueError(f"missing required key '{key}'")
     record = UtteranceRecord(
-        id=str(obj["id"]),
-        speaker=str(obj["speaker"]),
-        emotion=str(obj["emotion"]),
+        id=_parse_label(obj, "id"),
+        speaker=_parse_label(obj, "speaker"),
+        emotion=_parse_label(obj, "emotion"),
         vad=_parse_vad(obj["vad"]),
         audio_path=str(obj["audio_path"]) if obj.get("audio_path") is not None else None,
         emo_embedding=_parse_embedding(obj, "emo_embedding"),

@@ -250,19 +250,24 @@ def _parse_track_line(line: str) -> tuple[str | None, object]:
         if key not in ("hop", "sample_rate"):
             return key, None  # any other comment is ignored
         try:
-            return key, int(value)
+            number = int(value)
         except ValueError:
             raise ValueError(f"non-integer {key}") from None
+        if number <= 0:
+            raise ValueError(f"{key} {number} must be positive")
+        return key, number
     parts = line.split()
     if len(parts) != 4:
         raise ValueError("expected 'frame f0 voiced periodicity'")
     try:
-        f0_hz, is_voiced, per = float(parts[1]), bool(int(parts[2])), float(parts[3])
+        f0_hz, voiced, per = float(parts[1]), int(parts[2]), float(parts[3])
     except ValueError:
         raise ValueError("non-numeric field") from None
+    if voiced not in (0, 1):
+        raise ValueError(f"voiced {voiced} must be 0 or 1")
     if not (math.isfinite(f0_hz) and math.isfinite(per)):
         raise ValueError("non-finite f0 or periodicity")
-    return None, (f0_hz, is_voiced, per)
+    return None, (f0_hz, bool(voiced), per)
 
 
 def track_from_text(text: str) -> F0Track:

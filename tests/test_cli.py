@@ -467,6 +467,77 @@ def test_bad_manifest_embedding_names_file_and_line(tmp_path, capsys):
         assert f"{manifest}: line 2: emo_embedding" in capsys.readouterr().err
 
 
+
+def test_analyze_rejects_duplicate_prosody_id(tmp_path, manifest_file, capsys):
+    model = tmp_path / "model.json"
+    easv = tmp_path / "easv.jsonl"
+    assert run(["fit", "--manifest", str(manifest_file), "--out", str(model)]) == 0
+    assert run(["extract", "--manifest", str(manifest_file),
+                "--model", str(model), "--out", str(easv)]) == 0
+    ids = [json.loads(line)["id"] for line in easv.read_text().splitlines()]
+    lines = [json.dumps({"id": i, "pitch_mean_hz": 100.0, "energy_mean": 0.1,
+                         "duration_s": 1.0}) for i in ids]
+    lines.insert(3, lines[1].replace("100.0", "900.0"))
+    prosody = tmp_path / "prosody.jsonl"
+    prosody.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "report.md"
+    assert run(["analyze", "--easv", str(easv), "--prosody", str(prosody),
+                "--manifest", str(manifest_file), "--out", str(out)]) == 1
+    assert (f"{prosody}: line 4: duplicate id '{ids[1]}' (first seen at line 2)"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("id", "", "record id must be non-empty"),
+    ("id", None, "id must be a string or number"),
+    ("speaker", [1], "speaker must be a string or number"),
+    ("emotion", None, "emotion must be a string or number"),
+    ("emotion", {"a": 1}, "emotion must be a string or number"),
+    ("emotion", True, "emotion must be a string or number"),
+])
+def test_manifest_field_errors_name_line(tmp_path, capsys, field, value, message):
+    records = [{"id": "a", "speaker": "s", "emotion": "neutral", "vad": [0.5, 0.5, 0.5]},
+               {"id": "b", "speaker": "s", "emotion": "happy", "vad": [0.8, 0.7, 0.6]}]
+    records[1][field] = value
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert run(["fit", "--manifest", str(manifest)]) == 1
+    assert f"error: {manifest}: line 2: {message}\n" == capsys.readouterr().err
+
+
+def test_manifest_numeric_labels_are_text(tmp_path):
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text('{"id": 7, "speaker": 3.5, "emotion": 0, "vad": [0.5, 0.5, 0.5]}\n')
+    record = vadsphere.parse_manifest(manifest).records[0]
+    assert (record.id, record.speaker, record.emotion) == ("7", "3.5", "0")
+
+
+def test_svas_vad_out_of_range_names_line(tmp_path, capsys):
+    synth = tmp_path / "synth.txt"
+    ref = tmp_path / "ref.txt"
+    synth.write_text("0.8 0.7 0.6\n\n0.2 1.5 0.4\n")
+    ref.write_text("0.8 0.7 0.6\n0.9 0.8 0.7\n")
+    assert run(["svas", "--synth", str(synth), "--ref", str(ref),
+                "--center", "0.5,0.5,0.5"]) == 1
+    assert (f"error: {synth}: line 3: arousal component 1.5 outside [0, 1]\n"
+            == capsys.readouterr().err)
+
+
+def test_vector_dimension_mismatch_names_line(tmp_path, capsys):
+    emb = tmp_path / "emb.txt"
+    emb.write_text("1 0 0\n0 1 0\n\n0 1\n1 1 1 1\n")
+    assert run(["metrics", "--emb-a", str(emb), "--emb-b", str(emb)]) == 1
+    assert (f"error: {emb}: line 4: inconsistent vector dimensions\n"
+            == capsys.readouterr().err)
+
+
+def test_pair_acc_without_pairs_names_file(tmp_path, capsys):
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("\n  \n\t\n")
+    assert run(["pair-acc", "--pairs", str(pairs)]) == 1
+    assert f"error: {pairs}: no pairs found\n" == capsys.readouterr().err
+
 def test_extract_stdout(tmp_path, manifest_file, capsys):
     model = tmp_path / "model.json"
     run(["fit", "--manifest", str(manifest_file), "--out", str(model)])

@@ -235,3 +235,15 @@ def test_track_serialization_round_trip():
 def test_track_text_requires_header():
     with pytest.raises(ValueError, match="header"):
         track_from_text("0 100.0 1 0.9\n")
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["# hop=256", "# sample_rate=16000", "0 100.0 7 0.9"], "line 3: voiced 7 must be 0 or 1"),
+    (["# hop=256", "# sample_rate=16000", "0 100.0 -3 0.9"], "line 3: voiced -3 must be 0 or 1"),
+    (["# hop=0", "# sample_rate=16000", "0 100.0 1 0.9"], "line 1: hop 0 must be positive"),
+    (["# hop=256", "", "# sample_rate=-5", "0 100.0 1 0.9"],
+     "line 3: sample_rate -5 must be positive"),
+])
+def test_track_text_rejects_bad_voiced_and_header(lines, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        track_from_text("\n".join(lines) + "\n")
