@@ -118,9 +118,9 @@ def _stripped_lines(text: str, what: str) -> list[str]:
     return [line for _, line in _nonblank(text, str.strip, what)]
 
 
-def _parse_vector(line: str) -> list[float]:
-    try:
-        return [float(x) for x in line.split()]
+def _parse_vector(line: str) -> np.ndarray:
+    try:  # one small array per row: a list of floats per row costs ~3x the memory
+        return np.array([float(x) for x in line.split()])
     except ValueError:
         raise ValueError("not a numeric vector") from None
 
