@@ -151,11 +151,14 @@ def unique_ids(numbered: list[tuple[int, tuple]]) -> dict:
 def _parse_vad(raw) -> VadPoint:
     if not isinstance(raw, (list, tuple)) or len(raw) != 3:
         raise ValueError("vad must be a 3-element array")
-    if not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in raw):
-        raise ValueError("vad components must be numbers")
-    if not all(0.0 <= c <= 1.0 for c in raw):
+    values = []
+    for component in raw:
+        if not isinstance(component, (int, float)) or isinstance(component, bool):
+            raise ValueError("vad components must be numbers")
+        values.append(float(component))
+    if any(not (0.0 <= value <= 1.0) for value in values):
         raise ValueError("vad out of range")
-    return VadPoint(*map(float, raw))
+    return VadPoint(*values)
 
 
 def _parse_embedding(obj: dict, key: str) -> tuple[float, ...] | None:
@@ -173,15 +176,7 @@ def _parse_embedding(obj: dict, key: str) -> tuple[float, ...] | None:
     return values
 
 
-def _parse_label(obj: dict, key: str) -> str:
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise ValueError(f"{key} must be a string or number")
-    return str(value)
-
-
 def _parse_record(line: str) -> tuple[str, UtteranceRecord]:
-    """One manifest line as (id, record)."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -191,10 +186,13 @@ def _parse_record(line: str) -> tuple[str, UtteranceRecord]:
     for key in REQUIRED_KEYS:
         if key not in obj:
             raise ValueError(f"missing required key '{key}'")
+    for key in ("id", "speaker", "emotion"):
+        if type(obj[key]) not in (str, int, float):  # null, true, [] or {} is no label
+            raise ValueError(f"{key} must be a string or number")
     record = UtteranceRecord(
-        id=_parse_label(obj, "id"),
-        speaker=_parse_label(obj, "speaker"),
-        emotion=_parse_label(obj, "emotion"),
+        id=str(obj["id"]),
+        speaker=str(obj["speaker"]),
+        emotion=str(obj["emotion"]),
         vad=_parse_vad(obj["vad"]),
         audio_path=str(obj["audio_path"]) if obj.get("audio_path") is not None else None,
         emo_embedding=_parse_embedding(obj, "emo_embedding"),
@@ -204,11 +202,8 @@ def _parse_record(line: str) -> tuple[str, UtteranceRecord]:
 
 
 def parse_manifest(source, neutral_label: str = "neutral") -> DatasetManifest:
-    """Parse a line-delimited manifest from bytes, text, a path, or a stream.
-
-    Raises ValueError naming the line of a malformed record, a missing key,
-    an out-of-range VAD value or a duplicate id.
-    """
+    """Parse a line-delimited manifest from bytes, text, a path, or a stream;
+    a malformed record or a duplicate id is a ValueError naming its line."""
     by_id = unique_ids(parse_lines(_coerce_text(source), _parse_record))
     return DatasetManifest(records=tuple(by_id[k] for k in sorted(by_id)),
                            neutral_label=neutral_label)
