@@ -19,6 +19,7 @@ compressed formats.
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import math
@@ -123,12 +124,18 @@ def parse_lines(text: str, parse_line) -> list[tuple[int, object]]:
     """(line number, parse_line(line)) for each non-blank line, numbered from 1;
     a ValueError from parse_line is raised again as `line N: <message>`."""
     numbered = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if line.strip():
-            try:
-                numbered.append((line_no, parse_line(line)))
-            except ValueError as exc:
-                raise line_error(line_no, exc) from exc
+    collecting = gc.isenabled()
+    gc.disable()  # a parse keeps all it builds: collections here would free nothing
+    try:
+        for line_no, line in enumerate(text.splitlines(), start=1):
+            if line.strip():
+                try:
+                    numbered.append((line_no, parse_line(line)))
+                except ValueError as exc:
+                    raise line_error(line_no, exc) from exc
+    finally:
+        if collecting:
+            gc.enable()
     return numbered
 
 

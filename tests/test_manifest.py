@@ -171,3 +171,22 @@ def test_read_wav_samples_bounded(tmp_path):
     assert np.all(buf.samples >= -1.0)
     assert np.all(buf.samples <= 1.0)
     assert buf.samples[0] == -1.0
+
+
+def test_parse_lines_restores_garbage_collection():
+    import gc
+    from vadsphere.manifest import parse_lines
+
+    def bad(line):
+        raise ValueError("bad")
+
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            assert parse_lines("a\n\nb\n", str.upper) == [(1, "A"), (3, "B")]
+            with pytest.raises(ValueError, match="^line 3: bad$"):
+                parse_lines("\n \nx\n", bad)
+            assert gc.isenabled() == enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
