@@ -9,7 +9,8 @@
   lattice, in C order; the lattice scan of ``solve_centroid`` and
   ``grid_search_centroid``.
 - ``yin_difference``: the squared difference function d(tau) of YIN
-  (de Cheveigne & Kawahara 2002) for a batch of frames, via FFT correlation.
+  (de Cheveigne & Kawahara 2002) for a batch of frames, via FFT correlation
+  at the smallest 5-smooth length >= the frame (1350, not 2048, for 1344).
 
 ``centroid`` and ``prosody`` call them as ``_kernels.<name>``, so wrapping a
 module attribute reaches every call; the traced benchmark run counts
@@ -60,15 +61,23 @@ def grid_objective_values(axis: np.ndarray, targets: np.ndarray,
     return objective_values(pts.reshape(-1, 3), targets, neutrals, eps)
 
 
+def _fft_length(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n: a length the FFT splits into small radices."""
+    k = n.bit_length()  # 3^k and 5^k both exceed n
+    return min(m << ((n - 1) // m).bit_length()  # m doubled up to >= n
+               for m in (3 ** b * 5 ** c for b in range(k) for c in range(k)))
+
+
 def yin_difference(frames: np.ndarray, window: int, tau_max: int) -> np.ndarray:
     """Per-frame squared difference function d(tau) for tau in [0, tau_max].
 
     FFT-based: d(tau) = E(0) + E(tau) - 2*corr(tau), with E(tau) the energy
     of the length-`window` slice starting at tau and corr the linear
-    autocorrelation of the frame against its first `window` samples.
+    autocorrelation of the frame against its first `window` samples; with
+    n_fft >= frame_len no index window - 1 + tau <= frame_len - 1 wraps.
     """
     n_frames, frame_len = frames.shape
-    n_fft = 1 << int(frame_len).bit_length()
+    n_fft = _fft_length(frame_len)
     spec_full = np.fft.rfft(frames, n_fft, axis=1)
     spec_head = np.fft.rfft(frames[:, :window], n_fft, axis=1)
     corr = np.fft.irfft(spec_full * np.conj(spec_head), n_fft, axis=1)

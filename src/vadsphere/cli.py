@@ -26,7 +26,14 @@ import numpy as np
 from .analysis import build_report, render_report
 from .centroid import SolverConfig
 from .geometry import MODE_NEUTRAL_MEAN, Centroid, StyleOctant, VadPoint, neutral_center
-from .manifest import line_error, parse_lines, parse_manifest, read_wav, unique_ids
+from .manifest import (
+    label_field,
+    line_error,
+    parse_lines,
+    parse_manifest,
+    read_wav,
+    unique_ids,
+)
 from .metrics import eca, eecs, orthogonality_loss, pair_order_accuracy, svas
 from .pipeline import (
     ControlSpec,
@@ -276,6 +283,7 @@ def _cmd_prosody(args) -> tuple[str, str | None]:
         raise ValueError("--jobs must be >= 1")
     if (args.manifest is None) == (args.wav_list is None):
         raise ValueError("prosody needs exactly one of --manifest or --wav-list")
+    source = args.manifest if args.manifest is not None else args.wav_list
     if args.manifest is not None:
         manifest = _parse_file(args.manifest, parse_manifest)
         jobs_input = []
@@ -289,7 +297,10 @@ def _cmd_prosody(args) -> tuple[str, str | None]:
 
     def work(item: tuple[str, str]) -> tuple[str, ProsodyStats]:
         rec_id, path = item
-        return rec_id, utterance_prosody(read_wav(path), cfg)
+        try:
+            return rec_id, utterance_prosody(read_wav(path), cfg)
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"{source}: {path}: {exc}") from exc
 
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
@@ -304,7 +315,6 @@ def _parse_prosody_line(line: str) -> tuple[str, ProsodyStats]:
     try:
         obj = json.loads(line)
         rec_id, pitch = obj["id"], obj["pitch_mean_hz"]
-        hash(rec_id)  # a list or object cannot be an id
         stats = ProsodyStats(
             pitch_mean_hz=float(pitch) if pitch is not None else None,
             energy_mean=float(obj["energy_mean"]),
@@ -312,6 +322,7 @@ def _parse_prosody_line(line: str) -> tuple[str, ProsodyStats]:
         )
     except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
         raise ValueError(f"bad prosody record ({exc})") from exc
+    rec_id = label_field(obj, "id")  # as manifest and EASV ids are: text
     if not all(math.isfinite(v) for v in (stats.pitch_mean_hz, stats.energy_mean,
                                           stats.duration_s) if v is not None):
         raise ValueError("non-finite value")

@@ -155,6 +155,13 @@ def unique_ids(numbered: list[tuple[int, tuple]]) -> dict:
     return out
 
 
+def label_field(obj: dict, key: str) -> str:
+    """obj[key] as text: a JSON string or number; null, true, [] or {} is no label."""
+    if type(obj[key]) not in (str, int, float):
+        raise ValueError(f"{key} must be a string or number")
+    return str(obj[key])
+
+
 def _parse_vad(raw) -> VadPoint:
     if not isinstance(raw, (list, tuple)) or len(raw) != 3:
         raise ValueError("vad must be a 3-element array")
@@ -193,13 +200,10 @@ def _parse_record(line: str) -> tuple[str, UtteranceRecord]:
     for key in REQUIRED_KEYS:
         if key not in obj:
             raise ValueError(f"missing required key '{key}'")
-    for key in ("id", "speaker", "emotion"):
-        if type(obj[key]) not in (str, int, float):  # null, true, [] or {} is no label
-            raise ValueError(f"{key} must be a string or number")
     record = UtteranceRecord(
-        id=str(obj["id"]),
-        speaker=str(obj["speaker"]),
-        emotion=str(obj["emotion"]),
+        id=label_field(obj, "id"),
+        speaker=label_field(obj, "speaker"),
+        emotion=label_field(obj, "emotion"),
         vad=_parse_vad(obj["vad"]),
         audio_path=str(obj["audio_path"]) if obj.get("audio_path") is not None else None,
         emo_embedding=_parse_embedding(obj, "emo_embedding"),

@@ -1,11 +1,12 @@
 """Pitch, energy, and duration extraction plus prosodic error metrics.
 
-Pitch uses the YIN difference function (de Cheveigne & Kawahara, 2002):
-per frame, the cumulative-mean-normalized difference d'(tau) is searched
-for the first dip under the aperiodicity threshold (falling back to the
-global minimum), refined by parabolic interpolation. The dip depth doubles
-as the voicing decision: a frame is voiced when its best d' value is below
-the threshold, and periodicity is reported as 1 - d'.
+Pitch uses the YIN difference function (de Cheveigne & Kawahara, 2002),
+one 5-smooth-length FFT correlation per frame batch: the (frames x lags)
+cumulative-mean-normalized difference d'(tau) is searched, all frames at
+once, for the first dip under the aperiodicity threshold (falling back to
+the global minimum), refined by parabolic interpolation. The dip depth
+doubles as the voicing decision: a frame is voiced when its best d' value
+is below the threshold, and periodicity is reported as 1 - d'.
 
 Frame bookkeeping: energy frames are `window` samples advancing by `hop`;
 pitch frames need `window + tau_max` samples (the difference function
@@ -98,15 +99,21 @@ def _cmndf(diff: np.ndarray) -> np.ndarray:
     return out
 
 
-def _parabolic_refine(values: np.ndarray, i: int) -> float:
-    """Sub-sample minimum location of a parabola through i-1, i, i+1."""
-    if i <= 0 or i >= len(values) - 1:
-        return float(i)
-    y0, y1, y2 = values[i - 1], values[i], values[i + 1]
-    denom = y0 - 2.0 * y1 + y2
-    if denom == 0.0:
-        return float(i)
-    return i + 0.5 * (y0 - y2) / denom
+def _select_lags(cm: np.ndarray, tau_min: int, threshold: float) -> np.ndarray:
+    """Per row of d', the first lag >= tau_min under threshold, walked down
+    while d' strictly falls; the argmin over [tau_min, tau_max] where none dips."""
+    search = cm[:, tau_min:]
+    below = search < threshold
+    dips = below.any(axis=1)
+    lag = np.where(dips, below.argmax(axis=1), search.argmin(axis=1))
+    last = search.shape[1] - 1
+    walking = np.flatnonzero(dips)
+    while walking.size:  # one lag per pass for every frame still descending
+        walking = walking[lag[walking] < last]
+        at = lag[walking]
+        walking = walking[search[walking, at + 1] < search[walking, at]]
+        lag[walking] += 1
+    return tau_min + lag
 
 
 def estimate_f0(audio: AudioBuffer, cfg: F0Config | None = None) -> F0Track:
@@ -138,30 +145,18 @@ def estimate_f0(audio: AudioBuffer, cfg: F0Config | None = None) -> F0Track:
     diff = _kernels.yin_difference(frames, cfg.window, tau_max)
     cm = _cmndf(diff)
 
-    n_frames = frames.shape[0]
-    f0 = np.zeros(n_frames)
-    voiced = np.zeros(n_frames, dtype=bool)
-    periodicity = np.zeros(n_frames)
-    threshold = cfg.aperiodicity_threshold
-    for f in range(n_frames):
-        row = cm[f]
-        tau = -1
-        for cand in range(tau_min, tau_max + 1):
-            if row[cand] < threshold:
-                tau = cand
-                while tau + 1 <= tau_max and row[tau + 1] < row[tau]:
-                    tau += 1
-                break
-        if tau < 0:
-            tau = tau_min + int(np.argmin(row[tau_min:tau_max + 1]))
-        aperiodicity = min(max(float(row[tau]), 0.0), 1.0)
-        periodicity[f] = 1.0 - aperiodicity
-        if aperiodicity < threshold:
-            voiced[f] = True
-            refined = _parabolic_refine(row, tau)
-            refined = min(max(refined, float(tau_min)), float(tau_max))
-            f0[f] = min(max(sr / refined, cfg.f_min), cfg.f_max)
-    return F0Track(f0_hz=f0, voiced=voiced, periodicity=periodicity,
+    tau = _select_lags(cm, tau_min, cfg.aperiodicity_threshold)
+    rows = np.arange(len(cm))
+    aperiodicity = np.clip(cm[rows, tau], 0.0, 1.0)
+    voiced = aperiodicity < cfg.aperiodicity_threshold
+    # parabola through tau - 1, tau, tau + 1; none at tau_max or on a flat line
+    y0, y1, y2 = cm[rows, tau - 1], cm[rows, tau], cm[rows, np.minimum(tau + 1, tau_max)]
+    denom = y0 - 2.0 * y1 + y2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        shift = np.where((tau < tau_max) & (denom != 0.0), 0.5 * (y0 - y2) / denom, 0.0)
+    refined = np.clip(tau + shift, tau_min, tau_max)
+    f0 = np.where(voiced, np.clip(sr / refined, cfg.f_min, cfg.f_max), 0.0)
+    return F0Track(f0_hz=f0, voiced=voiced, periodicity=1.0 - aperiodicity,
                    hop=cfg.hop, sample_rate=sr)
 
 

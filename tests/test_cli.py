@@ -5,6 +5,7 @@ import stat
 import subprocess
 import sys
 import threading
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -440,6 +441,45 @@ def test_prosody_requires_audio_path(tmp_path, manifest_file, capsys):
     assert "audio_path" in capsys.readouterr().err
 
 
+def _write_8bit_wav(path: Path, sr: int) -> None:
+    with wave.open(str(path), "wb") as w:
+        w.setnchannels(1)
+        w.setsampwidth(1)
+        w.setframerate(sr)
+        w.writeframes(bytes(sr // 2))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("source", ["--wav-list", "--manifest"])
+@pytest.mark.parametrize("case", ["missing", "8-bit", "short"])
+def test_prosody_wav_errors_name_source_and_wav(tmp_path, capsys, case, source, jobs):
+    sr = 16000
+    good = tmp_path / "a_good.wav"
+    write_wav(good, sine_samples(200.0, 0.4, sr), sr)
+    bad = tmp_path / "b_bad.wav"
+    if case == "8-bit":
+        _write_8bit_wav(bad, sr)
+    elif case == "short":
+        write_wav(bad, sine_samples(200.0, 0.05, sr), sr)
+    listing = tmp_path / "inputs.txt"
+    if source == "--wav-list":
+        listing.write_text(f"{good}\n{bad}\n")
+    else:
+        listing.write_text("".join(
+            json.dumps({"id": f"u{i}", "speaker": "s", "emotion": "happy",
+                        "vad": [0.5, 0.5, 0.5], "audio_path": str(path)}) + "\n"
+            for i, path in enumerate((good, bad))))
+    out = tmp_path / "stats.jsonl"
+    assert run(["prosody", source, str(listing), "--jobs", jobs, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    message = {"missing": "[Errno 2] No such file or directory",
+               "8-bit": "unsupported encoding: expected 16-bit PCM, got 8-bit",
+               "short": "audio too short for pitch analysis"}[case]
+    assert err.startswith(f"error: {listing}: {bad}: {message}")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_pair_acc(tmp_path, capsys):
     pairs = tmp_path / "pairs.txt"
     pairs.write_text("0.1 0.5 1\n0.5 0.9 1\n0.1 0.9 1\n0.9 0.1 1\n")
@@ -485,6 +525,35 @@ def test_analyze_rejects_duplicate_prosody_id(tmp_path, manifest_file, capsys):
                 "--manifest", str(manifest_file), "--out", str(out)]) == 1
     assert (f"{prosody}: line 4: duplicate id '{ids[1]}' (first seen at line 2)"
             in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_analyze_reads_numeric_prosody_ids_as_text(tmp_path, capsys):
+    lines = serialize_manifest(synthetic_manifest(per_class=25, seed=6)).splitlines()
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(
+        json.dumps({**json.loads(line), "id": 100 + i}) + "\n" for i, line in enumerate(lines)))
+    model = tmp_path / "model.json"
+    easv = tmp_path / "easv.jsonl"
+    assert run(["fit", "--manifest", str(manifest), "--out", str(model)]) == 0
+    assert run(["extract", "--manifest", str(manifest),
+                "--model", str(model), "--out", str(easv)]) == 0
+    rows = [{"id": 100 + i, "pitch_mean_hz": 100.0, "energy_mean": 0.1, "duration_s": 1.0}
+            for i in range(len(lines))]
+    prosody = tmp_path / "prosody.jsonl"
+    prosody.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    out = tmp_path / "report.md"
+    analyze = ["analyze", "--easv", str(easv), "--prosody", str(prosody),
+               "--manifest", str(manifest), "--out", str(out)]
+    assert run(analyze) == 0
+    assert out.read_text().startswith("# Prosodic variation")
+
+    out.unlink()
+    rows[1]["id"] = None
+    prosody.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert run(analyze) == 1
+    assert capsys.readouterr().err == (
+        f"error: {prosody}: line 2: id must be a string or number\n")
     assert not out.exists()
 
 

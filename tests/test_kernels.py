@@ -24,10 +24,30 @@ def test_yin_difference_zero_lag_is_zero():
 
 
 def test_yin_difference_matches_direct_sum():
-    d = _kernels.yin_difference(FRAMES, 1024, 442)
-    for tau in (1, 37, 200, 441):
-        direct = ((FRAMES[:, :1024] - FRAMES[:, tau:tau + 1024]) ** 2).sum(axis=1)
-        assert np.abs(d[:, tau] - direct).max() < 1e-9
+    # the default frames, window 1024 plus tau_max = ceil(sr / 50), at 16, 22.05,
+    # 44.1 and 48 kHz: 1344, 1465, 1906 and 1984 samples
+    for tau_max in (320, 441, 882, 960):
+        signal = np.random.default_rng(tau_max).normal(0, 0.3, 6000)
+        frames = np.ascontiguousarray(
+            np.lib.stride_tricks.sliding_window_view(signal, 1024 + tau_max)[::256])
+        d = _kernels.yin_difference(frames, 1024, tau_max)
+        for tau in range(tau_max + 1):
+            direct = ((frames[:, :1024] - frames[:, tau:tau + 1024]) ** 2).sum(axis=1)
+            assert np.abs(d[:, tau] - direct).max() < 1e-9, (tau_max, tau)
+
+
+def test_fft_length_is_smallest_five_smooth():
+    def five_smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    for n in range(1, 4097):
+        m = n
+        while not five_smooth(m):
+            m += 1
+        assert _kernels._fft_length(n) == m, n
 
 
 def test_grid_values_match_scalar_objective():

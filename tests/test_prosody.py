@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vadsphere import (
     AudioBuffer,
@@ -15,7 +17,7 @@ from vadsphere import (
     rmse_period,
     utterance_prosody,
 )
-from vadsphere.prosody import track_from_text, track_to_text
+from vadsphere.prosody import _select_lags, track_from_text, track_to_text
 
 from conftest import sine_samples
 
@@ -95,6 +97,54 @@ def test_estimate_f0_track_invariants():
     assert np.all((voiced_f0 >= cfg.f_min) & (voiced_f0 <= cfg.f_max))
     assert np.all(track.f0_hz[~track.voiced] == 0.0)
     assert np.all((track.periodicity >= 0.0) & (track.periodicity <= 1.0))
+
+
+def _scalar_lag(row, tau_min, threshold):
+    """One frame, one lag at a time: the reference lag search for _select_lags."""
+    tau_max = len(row) - 1
+    for cand in range(tau_min, tau_max + 1):
+        if row[cand] < threshold:
+            tau = cand
+            while tau + 1 <= tau_max and row[tau + 1] < row[tau]:
+                tau += 1
+            return tau
+    return tau_min + int(np.argmin(row[tau_min:tau_max + 1]))
+
+
+_THRESHOLD = 0.15
+_LEVELS = st.sampled_from([0.0, 0.05, 0.1, 0.149, 0.15, 0.151, 0.3, 1.0])
+_ABOVE = st.floats(_THRESHOLD, 2.0)
+
+
+@st.composite
+def _cmndf_rows(draw):
+    """(rows of d', tau_min): ties and plateaus, no dip, or a dip falling to tau_max."""
+    n_lags = draw(st.integers(3, 40))
+    tau_min = draw(st.integers(2, n_lags - 1))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["levels", "no_dip", "to_tau_max"]),
+                              min_size=1, max_size=6)):
+        if kind == "levels":
+            row = draw(st.lists(_LEVELS, min_size=n_lags, max_size=n_lags))
+        elif kind == "no_dip":
+            row = draw(st.lists(_ABOVE, min_size=n_lags, max_size=n_lags))
+        else:
+            start = draw(st.integers(tau_min, n_lags - 1))
+            tail = draw(st.lists(st.floats(0.0, _THRESHOLD, exclude_max=True),
+                                 min_size=n_lags - start, max_size=n_lags - start,
+                                 unique=True))
+            row = draw(st.lists(_ABOVE, min_size=start, max_size=start))
+            row += sorted(tail, reverse=True)
+        rows.append(row)
+    return np.array(rows), tau_min
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_cmndf_rows())
+def test_select_lags_matches_scalar_search_property(case):
+    cm, tau_min = case
+    expected = [_scalar_lag(row, tau_min, _THRESHOLD) for row in cm]
+    assert _select_lags(cm, tau_min, _THRESHOLD).tolist() == expected
 
 
 def test_estimate_f0_validation():
