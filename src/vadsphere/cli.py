@@ -26,14 +26,7 @@ import numpy as np
 from .analysis import build_report, render_report
 from .centroid import SolverConfig
 from .geometry import MODE_NEUTRAL_MEAN, Centroid, StyleOctant, VadPoint, neutral_center
-from .manifest import (
-    label_field,
-    line_error,
-    parse_lines,
-    parse_manifest,
-    read_wav,
-    unique_ids,
-)
+from .manifest import label_field, line_error, parse_lines, parse_manifest, read_wav, unique_ids
 from .metrics import eca, eecs, orthogonality_loss, pair_order_accuracy, svas
 from .pipeline import (
     ControlSpec,
@@ -322,7 +315,7 @@ def _parse_prosody_line(line: str) -> tuple[str, ProsodyStats]:
         )
     except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
         raise ValueError(f"bad prosody record ({exc})") from exc
-    rec_id = label_field(obj, "id")  # as manifest and EASV ids are: text
+    rec_id = label_field(obj, "id")  # text, as manifest and EASV ids are
     if not all(math.isfinite(v) for v in (stats.pitch_mean_hz, stats.energy_mean,
                                           stats.duration_s) if v is not None):
         raise ValueError("non-finite value")

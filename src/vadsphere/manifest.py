@@ -157,9 +157,10 @@ def unique_ids(numbered: list[tuple[int, tuple]]) -> dict:
 
 def label_field(obj: dict, key: str) -> str:
     """obj[key] as text: a JSON string or number; null, true, [] or {} is no label."""
-    if type(obj[key]) not in (str, int, float):
+    value = obj[key]
+    if type(value) not in (str, int, float):
         raise ValueError(f"{key} must be a string or number")
-    return str(obj[key])
+    return str(value)
 
 
 def _parse_vad(raw) -> VadPoint:
