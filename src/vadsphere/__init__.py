@@ -19,12 +19,10 @@ from .analysis import (
 from .centroid import SolverConfig, grid_search_centroid, objective, solve_centroid
 from .geometry import (
     Centroid,
-    ShiftedVad,
-    SphericalVector,
     StyleOctant,
     VadPoint,
     neutral_center,
-    octant_of,
+    octant_codes,
     shift,
     to_cartesian,
     to_spherical,
@@ -38,8 +36,6 @@ from .manifest import (
     serialize_manifest,
 )
 from .metrics import (
-    AngleVector,
-    EmbeddingBatch,
     angle_cosine,
     eca,
     eecs,
@@ -49,10 +45,9 @@ from .metrics import (
 )
 from .pipeline import (
     ControlSpec,
-    Easv,
     EasvModel,
+    EasvSet,
     IqrBounds,
-    extract_easv,
     extract_easv_set,
     fit_easv_model,
     intensity_label_to_value,
@@ -78,22 +73,18 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisCell",
     "AnalysisReport",
-    "AngleVector",
     "AudioBuffer",
     "Centroid",
     "ControlSpec",
     "DatasetManifest",
-    "Easv",
     "EasvModel",
-    "EmbeddingBatch",
+    "EasvSet",
     "F0Config",
     "F0Track",
     "IntensityRegion",
     "IqrBounds",
     "ProsodyStats",
-    "ShiftedVad",
     "SolverConfig",
-    "SphericalVector",
     "StyleOctant",
     "UtteranceRecord",
     "VadPoint",
@@ -104,7 +95,6 @@ __all__ = [
     "eca",
     "eecs",
     "estimate_f0",
-    "extract_easv",
     "extract_easv_set",
     "f1_vuv",
     "fit_easv_model",
@@ -116,7 +106,7 @@ __all__ = [
     "neutral_center",
     "normalize_radius",
     "objective",
-    "octant_of",
+    "octant_codes",
     "orthogonality_loss",
     "pair_order_accuracy",
     "parse_manifest",

@@ -9,13 +9,16 @@ since their intensity is fixed at zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
-from .geometry import OCTANT_ORDER, StyleOctant, octant_from_angles
+import numpy as np
+
+from .geometry import OCTANT_ORDER, StyleOctant, octant_codes, to_cartesian
 from .manifest import DatasetManifest
-from .pipeline import Easv
+from .pipeline import EasvSet
 from .prosody import ProsodyStats
 
 FEATURES = ("pitch", "energy", "duration")
@@ -34,15 +37,14 @@ class IntensityRegion(Enum):
 REGION_ORDER = tuple(IntensityRegion)
 
 
-def bin_intensity(r_iqr: float) -> IntensityRegion:
-    """Half-open binning at the 0.33 and 0.66 thresholds."""
-    if not (0.0 <= r_iqr <= 1.0):
-        raise ValueError(f"r_iqr {r_iqr} outside [0, 1]")
-    if r_iqr < REGION_SPLITS[0]:
-        return IntensityRegion.R1
-    if r_iqr < REGION_SPLITS[1]:
-        return IntensityRegion.R2
-    return IntensityRegion.R3
+def bin_intensity(r_iqr) -> np.ndarray:
+    """Region of each normalized intensity, as its index in REGION_ORDER:
+    half-open binning at the 0.33 and 0.66 thresholds."""
+    r = np.asarray(r_iqr, dtype=np.float64)
+    outside = ~((0.0 <= r) & (r <= 1.0))
+    if outside.any():
+        raise ValueError(f"r_iqr {float(r[outside][0])} outside [0, 1]")
+    return np.searchsorted(REGION_SPLITS, r, side="right")
 
 
 @dataclass
@@ -71,10 +73,6 @@ class NeutralSummary:
     energy_mean: float | None
     duration_mean: float | None
 
-    def feature_mean(self, feature: str) -> float | None:
-        return {"pitch": self.pitch_mean, "energy": self.energy_mean,
-                "duration": self.duration_mean}[feature]
-
 
 @dataclass
 class AnalysisReport:
@@ -101,28 +99,7 @@ def range_rc(values: Sequence[float | None],
     return max(populated) - min(populated)
 
 
-@dataclass
-class _Accumulator:
-    count: int = 0
-    sums: dict[str, float] = field(default_factory=lambda: dict.fromkeys(FEATURES, 0.0))
-    counts: dict[str, int] = field(default_factory=lambda: dict.fromkeys(FEATURES, 0))
-
-    def add(self, stats: ProsodyStats) -> None:
-        self.count += 1
-        for feature, value in (("pitch", stats.pitch_mean_hz),
-                               ("energy", stats.energy_mean),
-                               ("duration", stats.duration_s)):
-            if value is not None:
-                self.sums[feature] += value
-                self.counts[feature] += 1
-
-    def mean(self, feature: str) -> float | None:
-        if self.counts[feature] == 0:
-            return None
-        return self.sums[feature] / self.counts[feature]
-
-
-def build_report(easvs: Mapping[str, Easv],
+def build_report(easvs: EasvSet,
                  prosody: Mapping[str, ProsodyStats],
                  manifest: DatasetManifest) -> AnalysisReport:
     """Assign every record to its (emotion, octant, region) cell and aggregate.
@@ -130,81 +107,75 @@ def build_report(easvs: Mapping[str, Easv],
     The octant comes from each vector's own angles (the same class-adaptive
     shift that produced it), the region from its normalized intensity.
     Prosody is required for non-neutral records and optional for neutral
-    ones. Means are arithmetic; a cell's pitch mean covers only the records
-    that have a voiced pitch estimate.
+    ones. Means are arithmetic, each sum taken in record order; a cell's
+    pitch mean covers only the records that have a voiced pitch estimate.
     """
     by_id = manifest.by_id()
-    acc: dict[tuple[str, str, str], _Accumulator] = {}
-    neutral_acc = _Accumulator()
-    neutral_count = 0
-
-    for rec_id, easv in easvs.items():
+    emotion_order = tuple(e for e in manifest.emotion_order()
+                          if e != manifest.neutral_label)
+    # cells are numbered (emotion, octant, region) in C order; neutral
+    # records share the one bin after them
+    per_emotion = len(OCTANT_ORDER) * len(REGION_ORDER)
+    neutral_bin = len(emotion_order) * per_emotion
+    first_bin = {e: i * per_emotion for i, e in enumerate(emotion_order)}
+    first_bin[manifest.neutral_label] = neutral_bin
+    bins, values = [], []  # per record: its emotion's first bin, (pitch, energy, duration)
+    for rec_id, emotion in zip(easvs.ids, easvs.emotions):
         record = by_id.get(rec_id)
         if record is None:
             raise ValueError(f"easv id '{rec_id}' not found in manifest")
-        if record.emotion != easv.emotion:
+        if record.emotion != emotion:
             raise ValueError(
                 f"emotion mismatch for id '{rec_id}': manifest says "
-                f"'{record.emotion}', easv says '{easv.emotion}'")
-        if easv.emotion == manifest.neutral_label:
-            neutral_count += 1
-            stats = prosody.get(rec_id)
-            if stats is not None:
-                neutral_acc.add(stats)
-            continue
+                f"'{record.emotion}', easv says '{emotion}'")
         stats = prosody.get(rec_id)
-        if stats is None:
+        if stats is None and emotion != manifest.neutral_label:
             raise ValueError(f"missing prosody for record '{rec_id}'")
-        octant = octant_from_angles(easv.theta, easv.phi)
-        region = bin_intensity(easv.r_iqr)
-        key = (easv.emotion, octant.tag, region.value)
-        acc.setdefault(key, _Accumulator()).add(stats)
+        bins.append(first_bin[emotion])
+        values.append((math.nan,) * 3 if stats is None else (
+            math.nan if stats.pitch_mean_hz is None else stats.pitch_mean_hz,
+            stats.energy_mean, stats.duration_s))
+
+    cell = np.array(bins, dtype=np.intp)
+    octants = octant_codes(to_cartesian(np.column_stack(
+        [np.ones(len(easvs)), easvs.theta, easvs.phi])))
+    emotional = cell != neutral_bin
+    cell[emotional] += (octants * len(REGION_ORDER) + bin_intensity(easvs.r_iqr))[emotional]
+    count = np.bincount(cell, minlength=neutral_bin + 1).tolist()
+    values = np.array(values, dtype=np.float64).reshape(-1, len(FEATURES))
+    sums, counts = [], []  # per feature, per bin
+    for column in values.T:
+        present = ~np.isnan(column)
+        sums.append(np.bincount(cell[present], weights=column[present],
+                                minlength=neutral_bin + 1).tolist())
+        counts.append(np.bincount(cell[present], minlength=neutral_bin + 1).tolist())
+
+    def mean(f: int, b: int) -> float | None:
+        return sums[f][b] / counts[f][b] if counts[f][b] else None
 
     cells: dict[tuple[str, str, str], AnalysisCell] = {}
-    for (emotion, octant_tag, region_tag), a in acc.items():
-        cells[(emotion, octant_tag, region_tag)] = AnalysisCell(
-            emotion=emotion,
-            octant=StyleOctant[octant_tag],
-            region=IntensityRegion(region_tag),
-            count=a.count,
-            pitch_mean=a.mean("pitch"),
-            energy_mean=a.mean("energy"),
-            duration_mean=a.mean("duration"),
-        )
-
     rc: dict[tuple[str, str, str], float] = {}
     avg: dict[tuple[str, str, str], float] = {}
-    group_keys = sorted({(emotion, octant_tag) for emotion, octant_tag, _ in acc})
-    for emotion, octant_tag in group_keys:
-        for feature in FEATURES:
-            region_means: list[float | None] = []
-            region_counts: list[int] = []
-            total_sum = 0.0
-            total_count = 0
-            for region in REGION_ORDER:
-                a = acc.get((emotion, octant_tag, region.value))
-                if a is None:
-                    region_means.append(None)
-                    region_counts.append(0)
-                    continue
-                region_means.append(a.mean(feature))
-                region_counts.append(a.counts[feature])
-                total_sum += a.sums[feature]
-                total_count += a.counts[feature]
-            spread = range_rc(region_means, region_counts)
-            if spread is not None:
-                rc[(emotion, octant_tag, feature)] = spread
-            if total_count > 0:
-                avg[(emotion, octant_tag, feature)] = total_sum / total_count
+    for emotion in emotion_order:
+        for o, octant in enumerate(OCTANT_ORDER):
+            start = first_bin[emotion] + o * len(REGION_ORDER)
+            group = range(start, start + len(REGION_ORDER))
+            for region, b in zip(REGION_ORDER, group):
+                if count[b]:
+                    cells[(emotion, octant.tag, region.value)] = AnalysisCell(
+                        emotion, octant, region, count[b],
+                        *(mean(f, b) for f in range(len(FEATURES))))
+            for f, feature in enumerate(FEATURES):
+                spread = range_rc([mean(f, b) for b in group], [counts[f][b] for b in group])
+                if spread is not None:
+                    rc[(emotion, octant.tag, feature)] = spread
+                total_count = sum(counts[f][b] for b in group)
+                if total_count > 0:  # region sums added in region order
+                    avg[(emotion, octant.tag, feature)] = (
+                        sum(sums[f][b] for b in group) / total_count)
 
-    neutral = NeutralSummary(
-        count=neutral_count,
-        pitch_mean=neutral_acc.mean("pitch"),
-        energy_mean=neutral_acc.mean("energy"),
-        duration_mean=neutral_acc.mean("duration"),
-    )
-    emotion_order = tuple(e for e in manifest.emotion_order()
-                          if e != manifest.neutral_label)
+    neutral = NeutralSummary(count[neutral_bin],
+                             *(mean(f, neutral_bin) for f in range(len(FEATURES))))
     return AnalysisReport(cells=cells, rc=rc, avg=avg, neutral=neutral,
                           neutral_label=manifest.neutral_label,
                           emotion_order=emotion_order)
@@ -246,7 +217,7 @@ def _markdown(report: AnalysisReport) -> str:
                        _fmt_count(report.neutral.count)]
         for feature in FEATURES:
             neutral_row += ["-", "-", "-", "-",
-                            _fmt_mean(report.neutral.feature_mean(feature))]
+                            _fmt_mean(getattr(report.neutral, f"{feature}_mean"))]
         lines.append("| " + " | ".join(neutral_row) + " |")
 
     for emotion in report.emotion_order:

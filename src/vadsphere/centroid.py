@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .geometry import MODE_EMOTION_ADAPTIVE, Centroid, VadPoint
+from .geometry import MODE_EMOTION_ADAPTIVE, Centroid, VadPoint, as_points
 
 logger = logging.getLogger(__name__)
 
@@ -44,17 +44,12 @@ class SolverConfig:
             raise ValueError("denominator_epsilon must be finite and > 0")
 
 
-def points_array(points: Sequence) -> np.ndarray:
-    """Stack VadPoints (or bare triples) into an (n, 3) float array."""
-    if len(points) == 0:
+def _points(points: Sequence[VadPoint] | np.ndarray) -> np.ndarray:
+    """The points as a non-empty (n, 3) float array."""
+    arr = as_points(points)
+    if len(arr) == 0:
         raise ValueError("empty point sequence")
-    rows = []
-    for p in points:
-        if isinstance(p, VadPoint):
-            rows.append(p.as_tuple())
-        else:
-            rows.append((float(p[0]), float(p[1]), float(p[2])))
-    return np.asarray(rows, dtype=np.float64)
+    return arr
 
 
 def _check_eps(eps: float) -> None:
@@ -69,10 +64,9 @@ def objective(m, targets: Sequence, neutrals: Sequence, eps: float) -> float:
     the neutral points + eps). Larger is better.
     """
     _check_eps(eps)
-    t_arr = points_array(targets)
-    n_arr = points_array(neutrals)
-    m_arr = np.asarray(
-        m.as_tuple() if isinstance(m, VadPoint) else m, dtype=np.float64)
+    t_arr = _points(targets)
+    n_arr = _points(neutrals)
+    m_arr = np.asarray(m, dtype=np.float64)
     if m_arr.shape != (3,):
         raise ValueError("candidate center must have 3 components")
     return float(_kernels.distance_ratio(m_arr, t_arr, n_arr, eps))
@@ -107,8 +101,8 @@ def solve_centroid(targets: Sequence, neutrals: Sequence,
     give the same Centroid, bit for bit.
     """
     cfg = cfg or SolverConfig()
-    t_arr = points_array(targets)
-    n_arr = points_array(neutrals)
+    t_arr = _points(targets)
+    n_arr = _points(neutrals)
     eps = cfg.denominator_epsilon
     best_point = np.array(_lattice_argmax(t_arr, n_arr, _LATTICE_STEP, eps))
     best_value = _kernels.distance_ratio(best_point, t_arr, n_arr, eps)
@@ -139,6 +133,6 @@ def grid_search_centroid(targets: Sequence, neutrals: Sequence, step: float,
     if not (0.0 < step <= 0.5):
         raise ValueError(f"step {step} must be in (0, 0.5]")
     _check_eps(eps)
-    point = _lattice_argmax(points_array(targets), points_array(neutrals), step, eps)
+    point = _lattice_argmax(_points(targets), _points(neutrals), step, eps)
     return Centroid(point=point, mode=MODE_EMOTION_ADAPTIVE, emotion=emotion,
                     objective=objective(point, targets, neutrals, eps))

@@ -25,8 +25,18 @@ import numpy as np
 
 from .analysis import build_report, render_report
 from .centroid import SolverConfig
-from .geometry import MODE_NEUTRAL_MEAN, Centroid, StyleOctant, VadPoint, neutral_center
-from .manifest import label_field, line_error, parse_lines, parse_manifest, read_wav, unique_ids
+from .geometry import AXES, MODE_NEUTRAL_MEAN, Centroid, StyleOctant, neutral_center
+from .manifest import (
+    RowError,
+    first_fault,
+    label_field,
+    line_error,
+    number_field,
+    parse_lines,
+    parse_manifest,
+    read_wav,
+    unique_ids,
+)
 from .metrics import eca, eecs, orthogonality_loss, pair_order_accuracy, svas
 from .pipeline import (
     ControlSpec,
@@ -125,7 +135,7 @@ def _parse_vector(line: str) -> np.ndarray:
         raise ValueError("not a numeric vector") from None
 
 
-def _parse_vectors(text: str) -> tuple[tuple[int, ...], np.ndarray]:
+def _parse_vectors(text: str) -> tuple[np.ndarray, np.ndarray]:
     """Line-delimited vectors, space-separated decimals: their line numbers and array."""
     line_nos, rows = zip(*_nonblank(text, _parse_vector, "vectors"))
     odd = next((n for n, row in zip(line_nos, rows) if len(row) != len(rows[0])), None)
@@ -135,20 +145,27 @@ def _parse_vectors(text: str) -> tuple[tuple[int, ...], np.ndarray]:
     finite = np.isfinite(arr).all(axis=1)
     if not finite.all():
         raise line_error(line_nos[int(np.argmin(finite))], "non-finite value")
-    return line_nos, arr
+    return np.array(line_nos), arr  # an int array: a tuple of ints is ~4x the memory
 
 
-def _parse_vad_points(text: str) -> list[VadPoint]:
+def _parse_vad_points(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """A VAD file: its line numbers and (n, 3) array of points in the unit cube."""
     line_nos, arr = _parse_vectors(text)
     if arr.shape[1] != 3:
         raise ValueError(f"expected 3 values per line, got {arr.shape[1]}")
-    points = []
-    for line_no, row in zip(line_nos, arr):
-        try:
-            points.append(VadPoint(*row))
-        except ValueError as exc:
-            raise line_error(line_no, exc) from exc
-    return points
+    outside = (arr < 0.0) | (arr > 1.0)
+    if outside.any():
+        row, axis = first_fault(outside)
+        raise line_error(line_nos[row], f"{AXES[axis]} component {float(arr[row, axis])} "
+                                        "outside [0, 1]")
+    return line_nos, arr
+
+
+def _row_fault(exc: RowError, *inputs: tuple[str, np.ndarray]) -> ValueError:
+    """exc, raised over the arrays read from `inputs` (path, line numbers),
+    as the error naming the file and line of the faulty row."""
+    path, line_nos = inputs[exc.arg]
+    return ValueError(f"{path}: {line_error(line_nos[exc.row], exc)}")
 
 
 def _parse_intensity(raw: str) -> float:
@@ -191,14 +208,14 @@ def _cmd_control_vec(args) -> tuple[str, str | None]:
         intensity=_parse_intensity(args.intensity),
     )
     easv = make_control_vector(spec)
-    obj = {"emotion": easv.emotion, "octant": spec.octant.tag,
-           "r_iqr": easv.r_iqr, "theta": easv.theta, "phi": easv.phi}
+    obj = {"emotion": spec.emotion, "octant": spec.octant.tag, "r_iqr": float(easv.r_iqr[0]),
+           "theta": float(easv.theta[0]), "phi": float(easv.phi[0])}
     return json.dumps(obj) + "\n", args.out
 
 
 def _cmd_svas(args) -> tuple[str, str | None]:
-    synth = _parse_file(args.synth, _parse_vad_points)
-    ref = _parse_file(args.ref, _parse_vad_points)
+    synth_lines, synth = _parse_file(args.synth, _parse_vad_points)
+    ref_lines, ref = _parse_file(args.ref, _parse_vad_points)
     if len(synth) != len(ref):
         raise ValueError(f"length mismatch: {len(synth)} synth vs {len(ref)} ref points")
     if args.center is not None:
@@ -217,8 +234,11 @@ def _cmd_svas(args) -> tuple[str, str | None]:
         center = neutral_center(neutrals)
     else:
         raise ValueError("svas needs --manifest or --center as the neutral-center source")
-    scores = [svas(s, r, center) for s, r in zip(synth, ref)]
-    lines = [f"{i}\t{score!r}" for i, score in enumerate(scores)]
+    try:
+        scores = svas(synth, ref, center)
+    except RowError as exc:
+        raise _row_fault(exc, (args.synth, synth_lines), (args.ref, ref_lines)) from exc
+    lines = [f"{i}\t{score!r}" for i, score in enumerate(scores.tolist())]
     lines.append(f"mean\t{float(np.mean(scores))!r}")
     return "\n".join(lines) + "\n", args.out
 
@@ -235,11 +255,14 @@ def _cmd_metrics(args) -> tuple[str, str | None]:
         raise ValueError("--track-a and --track-b must be given together")
 
     if args.emb_a is not None:
-        _, a = _parse_file(args.emb_a, _parse_vectors)
-        _, b = _parse_file(args.emb_b, _parse_vectors)
+        a_lines, a = _parse_file(args.emb_a, _parse_vectors)
+        b_lines, b = _parse_file(args.emb_b, _parse_vectors)
         if a.shape != b.shape:
             raise ValueError(f"embedding shape mismatch: {a.shape} vs {b.shape}")
-        values = [eecs(ra, rb) for ra, rb in zip(a, b)]
+        try:
+            values = eecs(a, b)
+        except RowError as exc:
+            raise _row_fault(exc, (args.emb_a, a_lines), (args.emb_b, b_lines)) from exc
         results.append(("eecs", float(np.mean(values))))
     if args.speaker_emb is not None:
         results.append(("orthogonality_loss", orthogonality_loss(
@@ -309,9 +332,9 @@ def _parse_prosody_line(line: str) -> tuple[str, ProsodyStats]:
         obj = json.loads(line)
         rec_id, pitch = obj["id"], obj["pitch_mean_hz"]
         stats = ProsodyStats(
-            pitch_mean_hz=float(pitch) if pitch is not None else None,
-            energy_mean=float(obj["energy_mean"]),
-            duration_s=float(obj["duration_s"]),
+            pitch_mean_hz=None if pitch is None else number_field(obj, "pitch_mean_hz"),
+            energy_mean=number_field(obj, "energy_mean"),
+            duration_s=number_field(obj, "duration_s"),
         )
     except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
         raise ValueError(f"bad prosody record ({exc})") from exc

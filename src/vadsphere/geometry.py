@@ -1,16 +1,20 @@
 """VAD cube geometry: centers, shifting, spherical transforms, style octants.
 
-Every operation here is a pure function on small immutable values. Points
-live in the unit cube (valence, arousal, dominance), each axis in [0, 1];
-shifted coordinates are relative to a center point.
+Points live in the unit cube (valence, arousal, dominance), each axis in
+[0, 1]; shifted coordinates are relative to a center point. The transforms
+take (n, 3) arrays, one point per row, so a single point is n = 1, and
+return new arrays; nothing here keeps state.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
+
+import numpy as np
 
 # Radii below this are treated as coincident with the center and map to the
 # canonical zero vector.
@@ -19,67 +23,31 @@ DEGENERATE_RADIUS = 1e-12
 MODE_NEUTRAL_MEAN = "neutral-mean"
 MODE_EMOTION_ADAPTIVE = "emotion-adaptive"
 
+AXES = ("valence", "arousal", "dominance")
 
-@dataclass(frozen=True)
-class VadPoint:
-    """A (valence, arousal, dominance) triple in [0, 1]^3."""
+# libm's acos and atan2, elementwise: numpy's SIMD versions differ from them
+# in the last bit for some inputs, and extraction output keeps libm's bits.
+_acos = np.frompyfunc(math.acos, 1, 1)
+_atan2 = np.frompyfunc(math.atan2, 2, 1)
 
-    v: float
-    a: float
-    d: float
 
-    def __post_init__(self) -> None:
-        for name, value in (("valence", self.v), ("arousal", self.a), ("dominance", self.d)):
+class VadPoint(namedtuple("VadPoint", "v a d")):
+    """A (valence, arousal, dominance) triple in [0, 1]^3.
+
+    A tuple, so ``np.asarray(points)`` of a sequence of them is the (n, 3)
+    array the geometry functions take.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, v: float, a: float, d: float) -> "VadPoint":
+        for name, value in zip(AXES, (v, a, d)):
             if not (0.0 <= value <= 1.0):
                 raise ValueError(f"{name} component {value} outside [0, 1]")
+        return super().__new__(cls, v, a, d)
 
     def as_tuple(self) -> tuple[float, float, float]:
-        return (self.v, self.a, self.d)
-
-
-@dataclass(frozen=True)
-class ShiftedVad:
-    """A VAD point expressed relative to a center.
-
-    Differences of two cube points land in [-1, 1] per component. The range
-    is not enforced at construction because the inverse spherical transform
-    (used for round-trip checks with radii up to 2) legitimately produces
-    larger components.
-    """
-
-    v: float
-    a: float
-    d: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.v, self.a, self.d)
-
-    def norm(self) -> float:
-        return math.sqrt(self.v * self.v + self.a * self.a + self.d * self.d)
-
-
-@dataclass(frozen=True)
-class SphericalVector:
-    """Spherical form (r, theta, phi) of a shifted VAD point.
-
-    theta is the polar angle from the +dominance axis in [0, pi]; phi is the
-    azimuth of (arousal, valence) measured from the +arousal axis, in
-    (-pi, pi]. The zero vector is canonically (0, 0, 0).
-    """
-
-    r: float
-    theta: float
-    phi: float
-
-    def __post_init__(self) -> None:
-        if self.r < 0.0:
-            raise ValueError(f"radius {self.r} must be >= 0")
-        if not (0.0 <= self.theta <= math.pi):
-            raise ValueError(f"theta {self.theta} outside [0, pi]")
-        if not (-math.pi < self.phi <= math.pi):
-            raise ValueError(f"phi {self.phi} outside (-pi, pi]")
-        if self.r == 0.0 and (self.theta != 0.0 or self.phi != 0.0):
-            raise ValueError("zero radius requires canonical theta = phi = 0")
+        return tuple(self)
 
 
 class StyleOctant(Enum):
@@ -148,56 +116,65 @@ class Centroid:
                 raise ValueError(f"centroid component {value} outside [0, 1]")
 
 
-def neutral_center(neutral_points: Sequence[VadPoint]) -> Centroid:
-    """Component-wise mean of the neutral-class points."""
-    if len(neutral_points) == 0:
+def as_points(points) -> np.ndarray:
+    """points (a sequence of triples, an (n, 3) array or one triple) as an
+    (n, 3) float array."""
+    arr = np.asarray(points, dtype=np.float64)
+    if arr.shape == (3,) or arr.size == 0:
+        arr = arr.reshape(-1, 3)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValueError(f"expected (n, 3) points, got shape {arr.shape}")
+    return arr
+
+
+def neutral_center(neutral_points: Sequence[VadPoint] | np.ndarray) -> Centroid:
+    """Component-wise mean of the neutral-class points, summed in order."""
+    points = as_points(neutral_points)
+    if len(points) == 0:
         raise ValueError("neutral_center requires a non-empty point sequence")
-    n = len(neutral_points)
-    v = sum(p.v for p in neutral_points) / n
-    a = sum(p.a for p in neutral_points) / n
-    d = sum(p.d for p in neutral_points) / n
-    return Centroid(point=(v, a, d), mode=MODE_NEUTRAL_MEAN)
+    mean = points.cumsum(axis=0)[-1] / len(points)
+    return Centroid(point=tuple(mean.tolist()), mode=MODE_NEUTRAL_MEAN)
 
 
-def shift(p: VadPoint, c: Centroid) -> ShiftedVad:
-    """Express p relative to the center c."""
-    cv, ca, cd = c.point
-    return ShiftedVad(p.v - cv, p.a - ca, p.d - cd)
+def shift(points: Sequence[VadPoint] | np.ndarray, c: Centroid) -> np.ndarray:
+    """Points relative to the center c: an (n, 3) array of differences."""
+    return as_points(points) - np.asarray(c.point)
 
 
-def to_spherical(s: ShiftedVad) -> SphericalVector:
-    """Cartesian-to-spherical transform of a shifted point.
+def to_spherical(shifted: np.ndarray) -> np.ndarray:
+    """Cartesian-to-spherical transform of (n, 3) shifted points: (n, 3) (r, theta, phi).
 
-    r is the Euclidean norm, theta = arccos(d/r), and phi is the
-    two-argument arctangent of (v, a) so every octant keeps a distinct
-    angle pair. Radii below DEGENERATE_RADIUS collapse to (0, 0, 0).
+    r is the Euclidean norm, theta = arccos(d/r) is the polar angle from the
+    +dominance axis in [0, pi], and phi = atan2(v, a) is the azimuth from the
+    +arousal axis in (-pi, pi], so every octant keeps a distinct angle pair.
+    Radii below DEGENERATE_RADIUS collapse to (0, 0, 0).
     """
-    r = s.norm()
-    if r < DEGENERATE_RADIUS:
-        return SphericalVector(0.0, 0.0, 0.0)
-    theta = math.acos(max(-1.0, min(1.0, s.d / r)))
-    phi = math.atan2(s.v, s.a)
-    if phi <= -math.pi:
-        phi = math.pi
-    return SphericalVector(r, theta, phi)
+    v, a, d = as_points(shifted).T
+    r = np.sqrt(v * v + a * a + d * d)
+    live = r >= DEGENERATE_RADIUS
+    theta = _acos(np.clip(d / np.where(live, r, 1.0), -1.0, 1.0)).astype(np.float64)
+    phi = _atan2(v, a).astype(np.float64)
+    phi[phi <= -math.pi] = math.pi
+    return np.where(live[:, None], np.column_stack([r, theta, phi]), 0.0)
 
 
-def to_cartesian(sv: SphericalVector) -> ShiftedVad:
-    """Inverse of to_spherical."""
-    sin_theta = math.sin(sv.theta)
-    return ShiftedVad(
-        sv.r * sin_theta * math.sin(sv.phi),
-        sv.r * sin_theta * math.cos(sv.phi),
-        sv.r * math.cos(sv.theta),
-    )
+def to_cartesian(spherical: np.ndarray) -> np.ndarray:
+    """Inverse of to_spherical: (n, 3) (r, theta, phi) to (n, 3) shifted points."""
+    r, theta, phi = as_points(spherical).T
+    rho = r * np.sin(theta)
+    return np.column_stack([rho * np.sin(phi), rho * np.cos(phi), r * np.cos(theta)])
 
 
-def octant_of(s: ShiftedVad) -> StyleOctant:
-    """Classify a shifted point by component signs; exact zeros count as +."""
-    signs = tuple(1 if value >= 0.0 else -1 for value in s.as_tuple())
-    return StyleOctant.from_signs(signs)
+# Index in OCTANT_ORDER of each sign pattern, looked up by the bits
+# (v < 0) + 2 (a < 0) + 4 (d < 0).
+_OCTANT_CODE = np.array([
+    OCTANT_ORDER.index(StyleOctant.from_signs(tuple(-1 if bits >> i & 1 else 1
+                                                    for i in range(3))))
+    for bits in range(8)])
 
 
-def octant_from_angles(theta: float, phi: float) -> StyleOctant:
-    """Style octant of the unit direction with the given angles."""
-    return octant_of(to_cartesian(SphericalVector(1.0, theta, phi)))
+def octant_codes(shifted: np.ndarray) -> np.ndarray:
+    """Style octant of each (n, 3) shifted point, as its index in OCTANT_ORDER;
+    exact zeros count as +."""
+    negative = as_points(shifted) < 0.0
+    return _OCTANT_CODE[negative @ np.array([1, 2, 4])]

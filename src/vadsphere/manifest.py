@@ -144,6 +144,20 @@ def line_error(line_no: int, message) -> ValueError:
     return ValueError(f"line {line_no}: {message}")
 
 
+class RowError(ValueError):
+    """A fault in row `row` of the array passed as argument `arg` (0 = the first)
+    of a function over arrays; the caller that read the rows names the line."""
+
+    def __init__(self, message: str, row: int, arg: int = 0) -> None:
+        super().__init__(message)
+        self.row, self.arg = row, arg
+
+
+def first_fault(faults: np.ndarray) -> tuple[int, int]:
+    """(row, column) of the first True in an (n, k) mask, row by row."""
+    return divmod(int(np.argmax(faults)), faults.shape[1])
+
+
 def unique_ids(numbered: list[tuple[int, tuple]]) -> dict:
     """{id: value} from parse_lines output of (id, value) pairs; ids must be unique."""
     out = {}
@@ -161,6 +175,14 @@ def label_field(obj: dict, key: str) -> str:
     if type(value) not in (str, int, float):
         raise ValueError(f"{key} must be a string or number")
     return str(value)
+
+
+def number_field(obj: dict, key: str) -> float:
+    """obj[key] as a float: a JSON number; true, "1.5" or null is no number."""
+    value = obj[key]
+    if type(value) not in (int, float):
+        raise ValueError(f"{key} must be a number")
+    return float(value)
 
 
 def _parse_vad(raw) -> VadPoint:

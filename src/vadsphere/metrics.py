@@ -6,96 +6,69 @@ inference happens here.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import MODE_NEUTRAL_MEAN, Centroid, VadPoint, shift, to_spherical
+from .geometry import MODE_NEUTRAL_MEAN, Centroid, shift, to_spherical
+from .manifest import RowError, first_fault
 
 # Below this shifted radius the style angle is undefined.
 MIN_ANGLE_RADIUS = 1e-9
 
 
-@dataclass(frozen=True)
-class AngleVector:
-    """The (theta, phi) angle pair of a spherical emotion vector."""
-
-    theta: float
-    phi: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.theta <= math.pi):
-            raise ValueError(f"theta {self.theta} outside [0, pi]")
-        if not (-math.pi < self.phi <= math.pi):
-            raise ValueError(f"phi {self.phi} outside (-pi, pi]")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.theta, self.phi])
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row pair, as np.dot computes it for one pair; no
+    (n, d) temporary."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-@dataclass(frozen=True)
-class EmbeddingBatch:
-    """An (n, dim) stack of real vectors."""
-
-    rows: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.rows.ndim != 2 or self.rows.shape[0] < 1 or self.rows.shape[1] < 1:
-            raise ValueError("embedding batch must be a non-empty 2-D array")
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
+def _row_cosines(a, b) -> np.ndarray:
+    """Cosine similarity of each row pair of two (n, d) arrays; a zero-norm
+    row is a RowError naming it (arg 0 for a, 1 for b)."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    norms = np.sqrt(np.column_stack([_row_dots(a, a), _row_dots(b, b)]))
+    if (norms == 0.0).any():
+        row, arg = first_fault(norms == 0.0)
+        raise RowError("cosine similarity undefined for a zero-norm vector", row, arg)
+    return _row_dots(a, b) / (norms[:, 0] * norms[:, 1])
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine similarity undefined for a zero-norm vector")
-    return float(np.dot(a, b) / (na * nb))
+def angle_cosine(a, b) -> np.ndarray:
+    """Cosine similarity of each row pair of two (n, 2) arrays of (theta, phi)."""
+    return _row_cosines(a, b)
 
 
-def angle_cosine(a: AngleVector, b: AngleVector) -> float:
-    """Cosine similarity of two (theta, phi) pairs."""
-    return _cosine(a.as_array(), b.as_array())
+def svas(synth_vad, ref_vad, neutral_center: Centroid) -> np.ndarray:
+    """Spherical vector angle similarity of each synth/ref point pair about a
+    fixed neutral center.
 
-
-def angle_vector(point: VadPoint, center: Centroid) -> AngleVector:
-    """Angle pair of a point about a center; rejects near-degenerate radii."""
-    sv = to_spherical(shift(point, center))
-    if sv.r < MIN_ANGLE_RADIUS:
-        raise ValueError("degenerate radius: point coincides with the center, "
-                         "angle undefined")
-    return AngleVector(theta=sv.theta, phi=sv.phi)
-
-
-def svas(synth_vad: VadPoint, ref_vad: VadPoint, neutral_center: Centroid) -> float:
-    """Spherical vector angle similarity about a fixed neutral center.
-
-    Both points are shifted by the neutral mean (never the adaptive
-    per-emotion center) and compared by the cosine of their (theta, phi)
-    angle vectors. Result in [-1, 1].
+    Both (n, 3) point arrays are shifted by the neutral mean (never the
+    adaptive per-emotion center) and each pair is compared by the cosine of
+    its (theta, phi) angle vectors; every score lies in [-1, 1]. A point on
+    the center has no angle: a RowError naming its row (arg 0 for synth,
+    1 for ref).
     """
     if neutral_center.mode != MODE_NEUTRAL_MEAN:
         raise ValueError("svas requires a neutral-mean centroid")
-    return angle_cosine(angle_vector(synth_vad, neutral_center),
-                        angle_vector(ref_vad, neutral_center))
+    synth = to_spherical(shift(synth_vad, neutral_center))
+    ref = to_spherical(shift(ref_vad, neutral_center))
+    if synth.shape != ref.shape:
+        raise ValueError(f"length mismatch: {len(synth)} synth vs {len(ref)} ref points")
+    degenerate = np.column_stack([synth[:, 0], ref[:, 0]]) < MIN_ANGLE_RADIUS
+    if degenerate.any():
+        row, arg = first_fault(degenerate)
+        raise RowError("degenerate radius: point coincides with the center, "
+                       "angle undefined", row, arg)
+    return _row_cosines(synth[:, 1:], ref[:, 1:])
 
 
-def eecs(a: Sequence[float], b: Sequence[float]) -> float:
-    """Emotion embedding cosine similarity."""
-    a_arr = np.asarray(a, dtype=np.float64)
-    b_arr = np.asarray(b, dtype=np.float64)
-    if a_arr.ndim != 1 or b_arr.ndim != 1 or a_arr.shape != b_arr.shape:
-        raise ValueError(f"dimension mismatch: {a_arr.shape} vs {b_arr.shape}")
-    return _cosine(a_arr, b_arr)
+def eecs(a, b) -> np.ndarray:
+    """Emotion embedding cosine similarity of each row pair of two (n, d) arrays."""
+    return _row_cosines(a, b)
 
 
 def eca(predicted: Sequence[str], reference: Sequence[str]) -> float:
@@ -109,15 +82,14 @@ def eca(predicted: Sequence[str], reference: Sequence[str]) -> float:
     return hits / len(predicted)
 
 
-def orthogonality_loss(speaker: EmbeddingBatch | np.ndarray,
-                       emotion: EmbeddingBatch | np.ndarray) -> float:
+def orthogonality_loss(speaker: np.ndarray, emotion: np.ndarray) -> float:
     """All-pairs normalized squared dot product between two batches.
 
     sum over (i, j) of (s_i . e_j)^2 / (|s_i|^2 |e_j|^2). Zero when the
     batches are mutually orthogonal, n^2 when every pair is parallel.
     """
-    s = speaker.rows if isinstance(speaker, EmbeddingBatch) else np.asarray(speaker, dtype=np.float64)
-    e = emotion.rows if isinstance(emotion, EmbeddingBatch) else np.asarray(emotion, dtype=np.float64)
+    s = np.asarray(speaker, dtype=np.float64)
+    e = np.asarray(emotion, dtype=np.float64)
     if s.ndim != 2 or e.ndim != 2:
         raise ValueError("batches must be 2-D")
     if s.shape != e.shape:

@@ -23,15 +23,17 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .centroid import SolverConfig, solve_centroid
-from .geometry import (
-    MODE_EMOTION_ADAPTIVE,
-    Centroid,
-    ShiftedVad,
-    StyleOctant,
-    shift,
-    to_spherical,
+from .geometry import MODE_EMOTION_ADAPTIVE, Centroid, StyleOctant, shift, to_spherical
+from .manifest import (
+    DatasetManifest,
+    RowError,
+    first_fault,
+    label_field,
+    line_error,
+    number_field,
+    parse_lines,
+    unique_ids,
 )
-from .manifest import DatasetManifest, UtteranceRecord, parse_lines, unique_ids
 
 logger = logging.getLogger(__name__)
 
@@ -82,22 +84,46 @@ class IqrBounds:
         return self.r_min == self.r_max
 
 
-@dataclass(frozen=True)
-class Easv:
-    """Emotion-adaptive spherical vector: normalized intensity plus style angles."""
+@dataclass(frozen=True, eq=False)
+class EasvSet:
+    """Emotion-adaptive spherical vectors of many records, one column per field.
 
-    r_iqr: float
-    theta: float
-    phi: float
-    emotion: str
+    Row i is record ids[i] of class emotions[i]: its normalized intensity
+    r_iqr[i] in [0, 1] and its style angles theta[i] in [0, pi] and phi[i]
+    in (-pi, pi]. The number columns are float arrays; a value out of range
+    is a RowError naming its row.
+    """
+
+    ids: Sequence[str]
+    emotions: Sequence[str]
+    r_iqr: np.ndarray
+    theta: np.ndarray
+    phi: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.r_iqr <= 1.0):
-            raise ValueError(f"r_iqr {self.r_iqr} outside [0, 1]")
-        if not (0.0 <= self.theta <= math.pi):
-            raise ValueError(f"theta {self.theta} outside [0, pi]")
-        if not (-math.pi < self.phi <= math.pi):
-            raise ValueError(f"phi {self.phi} outside (-pi, pi]")
+        for name in ("r_iqr", "theta", "phi"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        if not (len(self.ids) == len(self.emotions) == len(self.r_iqr)
+                == len(self.theta) == len(self.phi)):
+            raise ValueError("EASV columns must have one entry per record")
+        in_range = np.column_stack([(0.0 <= self.r_iqr) & (self.r_iqr <= 1.0),
+                                    (0.0 <= self.theta) & (self.theta <= math.pi),
+                                    (-math.pi < self.phi) & (self.phi <= math.pi)])
+        if not in_range.all():
+            row, column = first_fault(~in_range)
+            name, bounds = (("r_iqr", "[0, 1]"), ("theta", "[0, pi]"),
+                            ("phi", "(-pi, pi]"))[column]
+            value = float(getattr(self, name)[row])
+            raise RowError(f"{name} {value} outside {bounds}", row)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @classmethod
+    def from_rows(cls, rows: Mapping[str, tuple[str, float, float, float]]) -> "EasvSet":
+        """The set of {id: (emotion, r_iqr, theta, phi)}, in the mapping's order."""
+        emotions, r_iqr, theta, phi = zip(*rows.values()) if rows else ((),) * 4
+        return cls(tuple(rows), emotions, r_iqr, theta, phi)
 
 
 @dataclass(frozen=True)
@@ -146,12 +172,19 @@ def iqr_bounds(radii: Sequence[float]) -> IqrBounds:
                      r_min=float(q1 - 1.5 * iqr), r_max=float(q3 + 1.5 * iqr))
 
 
-def normalize_radius(r: float, b: IqrBounds) -> float:
-    """Clamp r into [r_min, r_max] and rescale affinely to [0, 1]."""
+def normalize_radius(r, b: IqrBounds):
+    """Clamp r (a number or an array) into [r_min, r_max], rescale affinely to [0, 1]."""
     if b.degenerate:
         raise ValueError("degenerate IQR bounds (r_min = r_max); cannot normalize")
-    clamped = min(max(r, b.r_min), b.r_max)
-    return (clamped - b.r_min) / (b.r_max - b.r_min)
+    return (np.clip(r, b.r_min, b.r_max) - b.r_min) / (b.r_max - b.r_min)
+
+
+def _class_rows(manifest: DatasetManifest) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The records' (n, 3) VAD array and each emotion's row indices, in
+    manifest emotion order."""
+    vad = np.array([r.vad for r in manifest.records], dtype=np.float64).reshape(-1, 3)
+    labels = np.array([r.emotion for r in manifest.records])
+    return vad, {e: np.flatnonzero(labels == e) for e in manifest.emotion_order()}
 
 
 def fit_easv_model(manifest: DatasetManifest,
@@ -164,24 +197,21 @@ def fit_easv_model(manifest: DatasetManifest,
     rejected because they leave nothing to normalize.
     """
     cfg = cfg or SolverConfig()
-    neutrals = [r.vad for r in manifest.neutral_records()]
-    if not neutrals:
+    vad, rows = _class_rows(manifest)
+    neutrals = vad[rows.pop(manifest.neutral_label, [])]
+    if len(neutrals) == 0:
         raise ValueError("no neutral records")
 
     centroids: dict[str, Centroid] = {}
     bounds: dict[str, IqrBounds] = {}
-    for emotion in manifest.emotion_order():
-        if emotion == manifest.neutral_label:
-            continue
-        class_records = manifest.class_records(emotion)
-        if len(class_records) < MIN_CLASS_RECORDS:
+    for emotion, class_rows in rows.items():
+        if len(class_rows) < MIN_CLASS_RECORDS:
             raise ValueError(
-                f"class '{emotion}' has {len(class_records)} records; "
+                f"class '{emotion}' has {len(class_rows)} records; "
                 f"need at least {MIN_CLASS_RECORDS}")
-        targets = [r.vad for r in class_records]
+        targets = vad[class_rows]
         centroid = solve_centroid(targets, neutrals, cfg, emotion=emotion)
-        radii = [to_spherical(shift(vad, centroid)).r for vad in targets]
-        class_bounds = iqr_bounds(radii)
+        class_bounds = iqr_bounds(to_spherical(shift(targets, centroid))[:, 0])
         if class_bounds.degenerate:
             raise ValueError(f"degenerate radius bounds for class '{emotion}'")
         centroids[emotion] = centroid
@@ -194,40 +224,41 @@ def fit_easv_model(manifest: DatasetManifest,
                      neutral_label=manifest.neutral_label)
 
 
-def extract_easv(record: UtteranceRecord, model: EasvModel) -> Easv:
-    """Map one record to its spherical vector under the fitted model.
+def extract_easv_set(manifest: DatasetManifest, model: EasvModel) -> EasvSet:
+    """Map every record to its spherical vector under the fitted model, in
+    manifest (id-sorted) order.
 
-    Neutral records are exactly (0, 0, 0). Everything else is shifted by its
-    class centroid; theta and phi pass through unchanged and only the radius
-    is normalized.
+    Neutral records are exactly (0, 0, 0). Every other record is shifted by
+    its class centroid; theta and phi pass through unchanged and only the
+    radius is normalized.
     """
-    if record.emotion == model.neutral_label:
-        return Easv(0.0, 0.0, 0.0, record.emotion)
-    centroid = model.centroids.get(record.emotion)
-    if centroid is None:
-        raise ValueError(f"unknown emotion class '{record.emotion}'")
-    sv = to_spherical(shift(record.vad, centroid))
-    r_iqr = normalize_radius(sv.r, model.bounds[record.emotion])
-    return Easv(r_iqr=r_iqr, theta=sv.theta, phi=sv.phi, emotion=record.emotion)
+    vad, rows = _class_rows(manifest)
+    easv = np.zeros_like(vad)
+    for emotion, class_rows in rows.items():
+        if emotion == model.neutral_label:
+            continue
+        centroid = model.centroids.get(emotion)
+        if centroid is None:
+            raise ValueError(f"unknown emotion class '{emotion}'")
+        spherical = to_spherical(shift(vad[class_rows], centroid))
+        spherical[:, 0] = normalize_radius(spherical[:, 0], model.bounds[emotion])
+        easv[class_rows] = spherical
+    return EasvSet(ids=tuple(r.id for r in manifest.records),
+                   emotions=tuple(r.emotion for r in manifest.records),
+                   r_iqr=easv[:, 0], theta=easv[:, 1], phi=easv[:, 2])
 
 
-def extract_easv_set(manifest: DatasetManifest, model: EasvModel) -> dict[str, Easv]:
-    """Extract every manifest record, keyed by id in manifest (id-sorted) order."""
-    return {r.id: extract_easv(r, model) for r in manifest.records}
-
-
-def make_control_vector(spec: ControlSpec) -> Easv:
-    """Spherical vector pointing down the octant's cube diagonal.
+def make_control_vector(spec: ControlSpec) -> EasvSet:
+    """One spherical vector pointing down the octant's cube diagonal.
 
     The diagonal is the symmetric representative direction of a style
     octant; the requested intensity becomes the normalized radius directly.
+    A control vector belongs to no record, so its id is empty.
     """
-    sv, sa, sd = spec.octant.signs
-    scale = 1.0 / np.sqrt(3.0)
-    direction = ShiftedVad(sv * scale, sa * scale, sd * scale)
-    angles = to_spherical(direction)
-    return Easv(r_iqr=spec.intensity, theta=angles.theta, phi=angles.phi,
-                emotion=spec.emotion)
+    direction = np.array([spec.octant.signs]) * (1.0 / np.sqrt(3.0))
+    _, theta, phi = to_spherical(direction).T
+    return EasvSet(ids=("",), emotions=(spec.emotion,), r_iqr=[spec.intensity],
+                   theta=theta, phi=phi)
 
 
 # ---------------------------------------------------------------------------
@@ -287,34 +318,35 @@ def model_from_json(text: str) -> EasvModel:
         raise ValueError(f"{where}{exc}") from None
 
 
-def easv_set_to_jsonl(easvs: Mapping[str, Easv]) -> str:
+def easv_set_to_jsonl(easvs: EasvSet) -> str:
     """One (id, emotion, r_iqr, theta, phi) object per line; angles in radians."""
-    lines = []
-    for rec_id, e in easvs.items():
-        lines.append(json.dumps({
-            "id": rec_id,
-            "emotion": e.emotion,
-            "r_iqr": e.r_iqr,
-            "theta": e.theta,
-            "phi": e.phi,
-        }))
+    lines = [json.dumps({"id": rec_id, "emotion": emotion, "r_iqr": r_iqr,
+                         "theta": theta, "phi": phi})
+             for rec_id, emotion, r_iqr, theta, phi in zip(
+                 easvs.ids, easvs.emotions, easvs.r_iqr.tolist(), easvs.theta.tolist(),
+                 easvs.phi.tolist())]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _parse_easv_line(line: str) -> tuple[str, Easv]:
+def _parse_easv_line(line: str) -> tuple[str, tuple]:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed EASV record: {exc.msg}") from exc
     try:
-        return str(obj["id"]), Easv(r_iqr=float(obj["r_iqr"]), theta=float(obj["theta"]),
-                                    phi=float(obj["phi"]), emotion=str(obj["emotion"]))
+        return label_field(obj, "id"), (
+            label_field(obj, "emotion"), number_field(obj, "r_iqr"),
+            number_field(obj, "theta"), number_field(obj, "phi"))
     except KeyError as exc:
         raise ValueError(f"bad EASV record (missing key {exc})") from exc
     except (TypeError, ValueError) as exc:
         raise ValueError(f"bad EASV record ({exc})") from exc
 
 
-def easv_set_from_jsonl(text: str) -> dict[str, Easv]:
+def easv_set_from_jsonl(text: str) -> EasvSet:
     """Parse easv_set_to_jsonl output; a fault or a duplicate id names its line."""
-    return unique_ids(parse_lines(text, _parse_easv_line))
+    numbered = parse_lines(text, _parse_easv_line)
+    try:
+        return EasvSet.from_rows(unique_ids(numbered))
+    except RowError as exc:
+        raise line_error(numbered[exc.row][0], f"bad EASV record ({exc})") from exc

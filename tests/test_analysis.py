@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vadsphere import (
     DatasetManifest,
+    EasvSet,
     IntensityRegion,
     ProsodyStats,
     StyleOctant,
@@ -14,7 +19,8 @@ from vadsphere import (
     range_rc,
     render_report,
 )
-from vadsphere.pipeline import ControlSpec, Easv
+from vadsphere.analysis import FEATURES, REGION_ORDER
+from vadsphere.pipeline import ControlSpec
 
 REGION_R_IQR = {"R1": 0.2, "R2": 0.5, "R3": 0.8}
 
@@ -29,7 +35,13 @@ PLAN = {
 
 def _octant_angles(tag: str) -> tuple[float, float]:
     probe = make_control_vector(ControlSpec("probe", StyleOctant[tag], 0.5))
-    return probe.theta, probe.phi
+    return float(probe.theta[0]), float(probe.phi[0])
+
+
+def _rows(easvs: EasvSet) -> dict[str, tuple[str, float, float, float]]:
+    """{id: (emotion, r_iqr, theta, phi)}: an EASV set's rows, to edit and rebuild."""
+    return dict(zip(easvs.ids, zip(easvs.emotions, easvs.r_iqr.tolist(),
+                                   easvs.theta.tolist(), easvs.phi.tolist())))
 
 
 def build_synthetic_inputs(with_neutral: bool = True):
@@ -46,7 +58,7 @@ def build_synthetic_inputs(with_neutral: bool = True):
                 rec_id = f"{emotion}-{octant_tag}-{region_tag}-{i}"
                 records.append(UtteranceRecord(rec_id, "s", emotion,
                                                VadPoint(0.5, 0.5, 0.5)))
-                easvs[rec_id] = Easv(REGION_R_IQR[region_tag], theta, phi, emotion)
+                easvs[rec_id] = (emotion, REGION_R_IQR[region_tag], theta, phi)
                 pitch_value += 1.7
                 prosody[rec_id] = ProsodyStats(pitch_mean_hz=pitch_value,
                                                energy_mean=pitch_value / 10.0,
@@ -57,22 +69,22 @@ def build_synthetic_inputs(with_neutral: bool = True):
             rec_id = f"neutral-{i}"
             records.append(UtteranceRecord(rec_id, "s", "neutral",
                                            VadPoint(0.5, 0.5, 0.5)))
-            easvs[rec_id] = Easv(0.0, 0.0, 0.0, "neutral")
+            easvs[rec_id] = ("neutral", 0.0, 0.0, 0.0)
             prosody[rec_id] = ProsodyStats(pitch_mean_hz=50.0 + i,
                                            energy_mean=2.0, duration_s=3.0)
     records.sort(key=lambda r: r.id)
     manifest = DatasetManifest(tuple(records), "neutral")
-    return manifest, easvs, prosody, expected
+    return manifest, EasvSet.from_rows(easvs), prosody, expected
 
 
 def test_bin_intensity_examples():
-    assert bin_intensity(0.0) is IntensityRegion.R1
-    assert bin_intensity(0.33) is IntensityRegion.R2
-    assert bin_intensity(0.66) is IntensityRegion.R3
-    assert bin_intensity(1.0) is IntensityRegion.R3
-    with pytest.raises(ValueError):
-        bin_intensity(1.01)
-    with pytest.raises(ValueError):
+    codes = bin_intensity([0.0, 0.3299, 0.33, 0.6599, 0.66, 1.0])
+    assert [REGION_ORDER[c] for c in codes] == [
+        IntensityRegion.R1, IntensityRegion.R1, IntensityRegion.R2, IntensityRegion.R2,
+        IntensityRegion.R3, IntensityRegion.R3]
+    with pytest.raises(ValueError, match="r_iqr 1.01 outside"):
+        bin_intensity([0.5, 1.01])
+    with pytest.raises(ValueError, match="r_iqr -0.01 outside"):
         bin_intensity(-0.01)
 
 
@@ -101,7 +113,7 @@ def test_build_report_counts_and_means_match_oracle():
 def test_build_report_partition_property():
     manifest, easvs, prosody, _ = build_synthetic_inputs()
     report = build_report(easvs, prosody, manifest)
-    non_neutral = sum(1 for e in easvs.values() if e.emotion != "neutral")
+    non_neutral = sum(1 for e in easvs.emotions if e != "neutral")
     assert sum(c.count for c in report.cells.values()) == non_neutral
 
 
@@ -141,14 +153,15 @@ def test_build_report_neutral_summary():
 
 def test_build_report_unresolvable_id():
     manifest, easvs, prosody, _ = build_synthetic_inputs()
-    easvs["ghost"] = Easv(0.5, 1.0, 1.0, "angry")
+    rows = _rows(easvs)
+    rows["ghost"] = ("angry", 0.5, 1.0, 1.0)
     with pytest.raises(ValueError, match="'ghost' not found"):
-        build_report(easvs, prosody, manifest)
+        build_report(EasvSet.from_rows(rows), prosody, manifest)
 
 
 def test_build_report_missing_prosody_names_id():
     manifest, easvs, prosody, _ = build_synthetic_inputs()
-    victim = next(i for i, e in easvs.items() if e.emotion != "neutral")
+    victim = next(i for i, e in zip(easvs.ids, easvs.emotions) if e != "neutral")
     del prosody[victim]
     with pytest.raises(ValueError, match=victim):
         build_report(easvs, prosody, manifest)
@@ -156,10 +169,11 @@ def test_build_report_missing_prosody_names_id():
 
 def test_build_report_emotion_mismatch():
     manifest, easvs, prosody, _ = build_synthetic_inputs()
-    victim = next(i for i, e in easvs.items() if e.emotion == "angry")
-    easvs[victim] = Easv(0.5, 1.0, 1.0, "happy")
+    rows = _rows(easvs)
+    victim = next(i for i, row in rows.items() if row[0] == "angry")
+    rows[victim] = ("happy", 0.5, 1.0, 1.0)
     with pytest.raises(ValueError, match="emotion mismatch"):
-        build_report(easvs, prosody, manifest)
+        build_report(EasvSet.from_rows(rows), prosody, manifest)
 
 
 def test_render_markdown_deterministic():
@@ -190,7 +204,7 @@ def test_render_markdown_thousands_separators():
 
 def test_render_markdown_empty_report_is_header_only():
     manifest = DatasetManifest((), "neutral")
-    report = build_report({}, {}, manifest)
+    report = build_report(EasvSet.from_rows({}), {}, manifest)
     text = render_report(report, "markdown")
     table_lines = [ln for ln in text.splitlines() if ln.startswith("|")]
     assert len(table_lines) == 2  # header and separator only
@@ -200,7 +214,7 @@ def test_render_csv_single_cell():
     records = (UtteranceRecord("u1", "s", "angry", VadPoint(0.5, 0.5, 0.5)),)
     manifest = DatasetManifest(records, "neutral")
     theta, phi = _octant_angles("I")
-    easvs = {"u1": Easv(0.5, theta, phi, "angry")}
+    easvs = EasvSet.from_rows({"u1": ("angry", 0.5, theta, phi)})
     prosody = {"u1": ProsodyStats(70.0, 5.0, 3.0)}
     report = build_report(easvs, prosody, manifest)
     text = render_report(report, "csv")
@@ -214,7 +228,7 @@ def test_render_csv_empty_fields_for_absent_means():
     records = (UtteranceRecord("u1", "s", "angry", VadPoint(0.5, 0.5, 0.5)),)
     manifest = DatasetManifest(records, "neutral")
     theta, phi = _octant_angles("I")
-    easvs = {"u1": Easv(0.5, theta, phi, "angry")}
+    easvs = EasvSet.from_rows({"u1": ("angry", 0.5, theta, phi)})
     prosody = {"u1": ProsodyStats(None, 5.0, 3.0)}  # unvoiced utterance
     report = build_report(easvs, prosody, manifest)
     lines = render_report(report, "csv").splitlines()
@@ -223,7 +237,7 @@ def test_render_csv_empty_fields_for_absent_means():
 
 def test_render_unknown_format():
     manifest = DatasetManifest((), "neutral")
-    report = build_report({}, {}, manifest)
+    report = build_report(EasvSet.from_rows({}), {}, manifest)
     with pytest.raises(ValueError, match="unknown report format"):
         render_report(report, "html")
 
@@ -236,3 +250,104 @@ def test_report_emotion_order_follows_manifest():
     first_angry = text.index("angry,")
     first_happy = text.index("happy,")
     assert first_angry < first_happy
+
+
+def _report_reference(rows, prosody):
+    """Cells, Rc and AVG of build_report, from plain Python over the records in
+    order; the octant from the signs of the unit direction's math.sin/cos."""
+    cells = {}  # (emotion, octant, region) -> [count, {feature: [values]}]
+    for rec_id, (emotion, r_iqr, theta, phi) in rows.items():
+        if emotion == "neutral":
+            continue
+        direction = (math.sin(theta) * math.sin(phi), math.sin(theta) * math.cos(phi),
+                     math.cos(theta))
+        octant = StyleOctant.from_signs(tuple(1 if x >= 0.0 else -1 for x in direction))
+        region = "R1" if r_iqr < 0.33 else "R2" if r_iqr < 0.66 else "R3"
+        cell = cells.setdefault((emotion, octant.tag, region), [0, {f: [] for f in FEATURES}])
+        cell[0] += 1
+        stats = prosody[rec_id]
+        for feature, value in zip(FEATURES, (stats.pitch_mean_hz, stats.energy_mean,
+                                             stats.duration_s)):
+            if value is not None:
+                cell[1][feature].append(value)
+    rc, avg = {}, {}
+    for emotion, octant, _ in cells:
+        for feature in FEATURES:
+            groups = [values[feature] for (e, o, _), (_, values) in cells.items()
+                      if (e, o) == (emotion, octant) and values[feature]]
+            means = [sum(values) / len(values) for values in groups]
+            if len(means) >= 2:
+                rc[(emotion, octant, feature)] = max(means) - min(means)
+            if groups:
+                avg[(emotion, octant, feature)] = (sum(map(sum, groups))
+                                                   / sum(map(len, groups)))
+    return cells, rc, avg
+
+
+_angle_theta = st.floats(0.0, math.pi) | st.sampled_from([0.0, math.pi / 2, math.pi])
+_angle_phi = (st.floats(-math.pi, math.pi, exclude_min=True)
+              | st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 2]))
+_record = st.tuples(st.sampled_from(["neutral", "angry", "happy", "sad"]),
+                    st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.33, 0.66, 1.0]),
+                    _angle_theta, _angle_phi,
+                    st.none() | st.floats(50.0, 400.0), st.floats(0.0, 10.0),
+                    st.floats(0.1, 10.0), st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(records=st.lists(_record, max_size=20), data=st.data())
+def test_build_report_matches_python_reference(records, data):
+    ids = [f"u{k:03d}" for k in range(len(records))]
+    manifest = DatasetManifest(tuple(
+        UtteranceRecord(rec_id, "s", rec[0], VadPoint(0.5, 0.5, 0.5))
+        for rec_id, rec in zip(ids, records)), "neutral")
+    prosody, rows = {}, {}
+    for rec_id in data.draw(st.permutations(ids)):  # EASV order is not id order
+        emotion, r_iqr, theta, phi, pitch, energy, duration, has_prosody = (
+            records[ids.index(rec_id)])
+        rows[rec_id] = (emotion, r_iqr, theta, phi)
+        if has_prosody or emotion != "neutral":  # prosody is optional for neutral
+            prosody[rec_id] = ProsodyStats(pitch, energy, duration)
+
+    report = build_report(EasvSet.from_rows(rows), prosody, manifest)
+    cells, rc, avg = _report_reference(rows, prosody)
+
+    # counts partition the non-neutral records
+    assert sum(c.count for c in report.cells.values()) == sum(
+        1 for row in rows.values() if row[0] != "neutral")
+    assert set(report.cells) == set(cells)
+    for key, (count, values) in cells.items():
+        cell = report.cells[key]
+        assert cell.count == count
+        for feature in FEATURES:  # each mean summed in record order, so exact
+            expected = sum(values[feature]) / len(values[feature]) if values[feature] else None
+            assert getattr(cell, f"{feature}_mean") == expected
+    assert report.rc == rc  # max - min of the populated region means
+    assert set(report.avg) == set(avg)
+    for key, value in avg.items():  # record-weighted, summed region by region
+        assert report.avg[key] == pytest.approx(value, rel=1e-12)
+
+    neutral_ids = [i for i, row in rows.items() if row[0] == "neutral"]
+    assert report.neutral.count == len(neutral_ids)
+    energies = [prosody[i].energy_mean for i in neutral_ids if i in prosody]
+    assert report.neutral.energy_mean == (sum(energies) / len(energies) if energies else None)
+
+
+def test_build_report_sums_each_cell_in_record_order():
+    # 40 records in one cell, in EASV order (not id order): numpy's pairwise
+    # sum, or a sum in id order, moves the last bits of the means
+    theta, phi = _octant_angles("I")
+    rng = np.random.default_rng(3)
+    ids = [f"u{i:02d}" for i in range(40)]
+    manifest = DatasetManifest(tuple(UtteranceRecord(i, "s", "angry", VadPoint(0.5, 0.5, 0.5))
+                                     for i in ids), "neutral")
+    order = [ids[i] for i in rng.permutation(len(ids))]
+    easvs = EasvSet.from_rows({i: ("angry", 0.5, theta, phi) for i in order})
+    prosody = {i: ProsodyStats(p, p / 7.0, p / 3.0)
+               for i, p in zip(ids, rng.uniform(50.0, 400.0, len(ids)).tolist())}
+    cell = build_report(easvs, prosody, manifest).cells[("angry", "I", "R2")]
+    for feature, field in zip(FEATURES, ("pitch_mean_hz", "energy_mean", "duration_s")):
+        total = 0.0
+        for rec_id in order:
+            total += getattr(prosody[rec_id], field)
+        assert getattr(cell, f"{feature}_mean") == total / len(ids)

@@ -118,7 +118,7 @@ def test_analyze_bad_easv_names_file_and_line(tmp_path, manifest_file, capsys):
     out = tmp_path / "report.md"
     second = json.loads(good[1])
     for bad_line, detail in (("[1,2]", "list indices"),
-                             (json.dumps({**second, "r_iqr": None}), "float()"),
+                             (json.dumps({**second, "r_iqr": None}), "r_iqr must be a number"),
                              (json.dumps({**second, "theta": float("nan")}),
                               "theta nan outside [0, pi]"),
                              (json.dumps({k: v for k, v in second.items() if k != "phi"}),
@@ -131,6 +131,38 @@ def test_analyze_bad_easv_names_file_and_line(tmp_path, manifest_file, capsys):
         assert f"error: {easv}: line 2: bad EASV record (" in err
         assert detail in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, field, value, message", [
+    ("easv", "id", None, "bad EASV record (id must be a string or number)"),
+    ("easv", "emotion", [], "bad EASV record (emotion must be a string or number)"),
+    ("easv", "r_iqr", True, "bad EASV record (r_iqr must be a number)"),
+    ("easv", "theta", "1.5", "bad EASV record (theta must be a number)"),
+    ("easv", "phi", False, "bad EASV record (phi must be a number)"),
+    ("prosody", "energy_mean", True, "bad prosody record (energy_mean must be a number)"),
+    ("prosody", "duration_s", "2", "bad prosody record (duration_s must be a number)"),
+    ("prosody", "pitch_mean_hz", "100", "bad prosody record (pitch_mean_hz must be a number)"),
+])
+def test_analyze_field_types_name_file_and_line(tmp_path, manifest_file, capsys,
+                                                kind, field, value, message):
+    model = tmp_path / "model.json"
+    easv = tmp_path / "easv.jsonl"
+    assert run(["fit", "--manifest", str(manifest_file), "--out", str(model)]) == 0
+    assert run(["extract", "--manifest", str(manifest_file),
+                "--model", str(model), "--out", str(easv)]) == 0
+    rows = {"easv": [json.loads(line) for line in easv.read_text().splitlines()]}
+    rows["prosody"] = [{"id": row["id"], "pitch_mean_hz": 100.0, "energy_mean": 0.1,
+                        "duration_s": 1.0} for row in rows["easv"]]
+    rows[kind][1][field] = value
+    paths = {name: tmp_path / f"{name}.jsonl" for name in rows}
+    for name, path in paths.items():
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows[name]))
+    out = tmp_path / "report.md"
+    capsys.readouterr()
+    assert run(["analyze", "--easv", str(paths["easv"]), "--prosody", str(paths["prosody"]),
+                "--manifest", str(manifest_file), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {paths[kind]}: line 2: {message}\n"
+    assert not out.exists()
 
 
 def test_extract_bad_model_names_file_and_key(tmp_path, manifest_file, capsys):
@@ -335,6 +367,35 @@ def test_svas_with_manifest_center(tmp_path, manifest_file, capsys):
                 "--manifest", str(manifest_file)]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[-1].startswith("mean\t")
+
+
+@pytest.mark.parametrize("bad_side, bad_line", [("synth", 3), ("ref", 2)])
+def test_svas_point_on_center_names_file_and_line(tmp_path, capsys, bad_side, bad_line):
+    lines = {"synth": ["0.8 0.7 0.6", "0.2 0.3 0.4", "0.9 0.8 0.7"],
+             "ref": ["0.8 0.7 0.6", "0.9 0.8 0.7", "0.2 0.3 0.4"]}
+    lines[bad_side][bad_line - 1] = "0.5 0.5 0.5"
+    paths = {side: tmp_path / f"{side}.txt" for side in lines}
+    for side, path in paths.items():
+        path.write_text("\n".join(lines[side]) + "\n")
+    assert run(["svas", "--synth", str(paths["synth"]), "--ref", str(paths["ref"]),
+                "--center", "0.5,0.5,0.5"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {paths[bad_side]}: line {bad_line}: degenerate radius: point coincides "
+        "with the center, angle undefined\n")
+
+
+@pytest.mark.parametrize("bad_flag, bad_line", [("--emb-a", 3), ("--emb-b", 4)])
+def test_metrics_zero_norm_embedding_names_file_and_line(tmp_path, capsys, bad_flag, bad_line):
+    lines = {"--emb-a": ["1 0", "", "0 1", "1 1"], "--emb-b": ["1 0", "", "0 1", "1 1"]}
+    lines[bad_flag][bad_line - 1] = "0 0"
+    paths = {flag: tmp_path / f"{flag[2:]}.txt" for flag in lines}
+    for flag, path in paths.items():
+        path.write_text("\n".join(lines[flag]) + "\n")
+    assert run(["metrics", "--emb-a", str(paths["--emb-a"]),
+                "--emb-b", str(paths["--emb-b"])]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {paths[bad_flag]}: line {bad_line}: cosine similarity undefined for a "
+        "zero-norm vector\n")
 
 
 def test_metrics_embeddings_labels(tmp_path, capsys):

@@ -2,20 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vadsphere import (
     Centroid,
-    ShiftedVad,
-    SphericalVector,
     StyleOctant,
     VadPoint,
     neutral_center,
-    octant_of,
+    octant_codes,
     shift,
     to_cartesian,
     to_spherical,
 )
-from vadsphere.geometry import octant_from_angles
+from vadsphere.geometry import OCTANT_ORDER
 
 
 def test_neutral_center_symmetry():
@@ -41,59 +41,69 @@ def test_neutral_center_empty():
 
 def test_shift_zero():
     c = Centroid((0.5, 0.5, 0.5), "neutral-mean")
-    assert shift(VadPoint(0.5, 0.5, 0.5), c).as_tuple() == (0.0, 0.0, 0.0)
+    assert shift(VadPoint(0.5, 0.5, 0.5), c).tolist() == [[0.0, 0.0, 0.0]]
 
 
 def test_shift_identity():
     c = Centroid((0.0, 0.0, 0.0), "neutral-mean")
-    assert shift(VadPoint(1, 0, 1), c).as_tuple() == (1.0, 0.0, 1.0)
+    assert shift([VadPoint(1, 0, 1), VadPoint(0, 1, 0)], c).tolist() == [[1.0, 0.0, 1.0],
+                                                                         [0.0, 1.0, 0.0]]
 
 
 def test_shift_arithmetic():
     c = Centroid((0.5, 0.5, 0.5), "neutral-mean")
-    s = shift(VadPoint(0.2, 0.9, 0.4), c)
-    assert s.as_tuple() == pytest.approx((-0.3, 0.4, -0.1))
+    s = shift(np.array([[0.2, 0.9, 0.4]]), c)
+    assert s.shape == (1, 3)
+    assert s[0] == pytest.approx((-0.3, 0.4, -0.1))
+
+
+def test_shift_rejects_other_shapes():
+    c = Centroid((0.5, 0.5, 0.5), "neutral-mean")
+    with pytest.raises(ValueError, match=r"expected \(n, 3\) points"):
+        shift(np.zeros((4, 2)), c)
 
 
 def test_to_spherical_345():
-    sv = to_spherical(ShiftedVad(0.3, 0.4, 0.0))
-    assert sv.r == pytest.approx(0.5)
-    assert sv.theta == pytest.approx(math.pi / 2)
-    assert sv.phi == pytest.approx(math.atan2(0.3, 0.4))
+    r, theta, phi = to_spherical([0.3, 0.4, 0.0])[0]
+    assert r == pytest.approx(0.5)
+    assert theta == pytest.approx(math.pi / 2)
+    assert phi == pytest.approx(math.atan2(0.3, 0.4))
 
 
 def test_to_spherical_pole():
-    sv = to_spherical(ShiftedVad(0.0, 0.0, 0.5))
-    assert (sv.r, sv.theta, sv.phi) == (0.5, 0.0, 0.0)
+    assert to_spherical([[0.0, 0.0, 0.5]]).tolist() == [[0.5, 0.0, 0.0]]
 
 
 def test_to_spherical_degenerate():
-    sv = to_spherical(ShiftedVad(0.0, 0.0, 0.0))
-    assert (sv.r, sv.theta, sv.phi) == (0.0, 0.0, 0.0)
-    # below the degeneracy cutoff too
-    sv = to_spherical(ShiftedVad(1e-13, 0.0, 0.0))
-    assert (sv.r, sv.theta, sv.phi) == (0.0, 0.0, 0.0)
+    # at the center and below the degeneracy cutoff, beside a live point
+    sv = to_spherical([[0.0, 0.0, 0.0], [1e-13, 0.0, 0.0], [0.0, 0.0, 0.5]])
+    assert sv.tolist() == [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]
 
 
 def test_to_cartesian_345_inverse():
-    s = to_cartesian(SphericalVector(0.5, math.pi / 2, math.atan2(0.3, 0.4)))
-    assert s.as_tuple() == pytest.approx((0.3, 0.4, 0.0), abs=1e-12)
+    s = to_cartesian([[0.5, math.pi / 2, math.atan2(0.3, 0.4)]])
+    assert s[0] == pytest.approx((0.3, 0.4, 0.0), abs=1e-12)
 
 
 def test_to_cartesian_pole():
-    s = to_cartesian(SphericalVector(1.0, 0.0, 0.0))
-    assert s.as_tuple() == pytest.approx((0.0, 0.0, 1.0))
+    s = to_cartesian([1.0, 0.0, 0.0])
+    assert s[0] == pytest.approx((0.0, 0.0, 1.0))
 
 
 def test_to_cartesian_zero():
-    assert to_cartesian(SphericalVector(0.0, 0.0, 0.0)).as_tuple() == (0.0, 0.0, 0.0)
+    assert to_cartesian([0.0, 0.0, 0.0]).tolist() == [[0.0, 0.0, 0.0]]
 
 
 def test_octant_examples():
-    assert octant_of(ShiftedVad(0.1, 0.1, 0.1)) is StyleOctant.I
-    assert octant_of(ShiftedVad(-0.1, -0.1, -0.1)) is StyleOctant.VII
-    # zero valence ties break positive: signs (+, +, -) -> V
-    assert octant_of(ShiftedVad(0.0, 0.2, -0.3)) is StyleOctant.V
+    codes = octant_codes([[0.1, 0.1, 0.1], [-0.1, -0.1, -0.1],
+                          # zero valence ties break positive: signs (+, +, -) -> V
+                          [0.0, 0.2, -0.3]])
+    assert [OCTANT_ORDER[c] for c in codes] == [StyleOctant.I, StyleOctant.VII, StyleOctant.V]
+
+
+def test_octant_codes_follow_sign_table():
+    signs = np.array([octant.signs for octant in OCTANT_ORDER], dtype=np.float64)
+    assert octant_codes(0.25 * signs).tolist() == list(range(len(OCTANT_ORDER)))
 
 
 def test_octant_bijection_matches_sign_table():
@@ -118,37 +128,57 @@ def _phi_delta(a: float, b: float) -> float:
 
 def test_round_trip_property():
     rng = np.random.default_rng(321)
+    rows = []
     for _ in range(2000):
         r = rng.uniform(1e-6, 2.0)
         theta = rng.uniform(0.0, math.pi)
         phi = rng.uniform(-math.pi, math.pi)
         if phi <= -math.pi:
             phi = math.pi
-        sv = SphericalVector(r, theta, phi)
-        back = to_spherical(to_cartesian(sv))
-        assert back.r == pytest.approx(r, abs=1e-9)
-        assert back.theta == pytest.approx(theta, abs=1e-9)
-        assert _phi_delta(back.phi, phi) < 1e-9 or math.sin(theta) < 1e-9
+        rows.append((r, theta, phi))
+    for (r, theta, phi), back in zip(rows, to_spherical(to_cartesian(rows)).tolist()):
+        assert back[0] == pytest.approx(r, abs=1e-9)
+        assert back[1] == pytest.approx(theta, abs=1e-9)
+        assert _phi_delta(back[2], phi) < 1e-9 or math.sin(theta) < 1e-9
 
 
 def test_norm_preservation_property():
     rng = np.random.default_rng(99)
-    for _ in range(500):
-        s = ShiftedVad(*rng.uniform(-1, 1, 3))
-        assert to_spherical(s).r == pytest.approx(s.norm(), abs=1e-12)
+    s = np.array([rng.uniform(-1, 1, 3) for _ in range(500)])
+    assert to_spherical(s)[:, 0] == pytest.approx(np.linalg.norm(s, axis=1), abs=1e-12)
 
 
 def test_octant_consistency_property():
     rng = np.random.default_rng(17)
-    for _ in range(500):
-        comps = rng.uniform(-1, 1, 3)
-        if np.any(comps == 0.0):
-            continue
-        s = ShiftedVad(*comps)
-        direct = octant_of(s)
-        sv = to_spherical(s)
-        assert octant_of(to_cartesian(sv)) is direct
-        assert octant_from_angles(sv.theta, sv.phi) is direct
+    comps = np.array([rng.uniform(-1, 1, 3) for _ in range(500)])
+    s = comps[~np.any(comps == 0.0, axis=1)]
+    direct = octant_codes(s)
+    sv = to_spherical(s)
+    assert octant_codes(to_cartesian(sv)).tolist() == direct.tolist()
+    sv[:, 0] = 1.0  # the unit direction with the same angles
+    assert octant_codes(to_cartesian(sv)).tolist() == direct.tolist()
+
+
+def _spherical_reference(v: float, a: float, d: float) -> tuple[float, float, float]:
+    """to_spherical of one point with the scalar math functions."""
+    r = math.sqrt(v * v + a * a + d * d)
+    if r < 1e-12:
+        return (0.0, 0.0, 0.0)
+    theta = math.acos(max(-1.0, min(1.0, d / r)))
+    phi = math.atan2(v, a)
+    return (r, theta, math.pi if phi <= -math.pi else phi)
+
+
+_component = st.floats(-1.0, 1.0) | st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-13, -1e-13])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_component, _component, _component), min_size=1, max_size=40))
+def test_to_spherical_matches_scalar_math_bit_for_bit(points):
+    # the transform pins extraction output, so not even the last bit may move:
+    # same radius sum order, libm acos/atan2, -pi folded to pi, r < 1e-12 to zero
+    expected = np.array([_spherical_reference(*p) for p in points])
+    assert to_spherical(points).view(np.int64).tolist() == expected.view(np.int64).tolist()
 
 
 def test_shift_by_own_center_is_exact_zero():
@@ -156,20 +186,23 @@ def test_shift_by_own_center_is_exact_zero():
     for _ in range(100):
         p = VadPoint(*rng.uniform(0, 1, 3))
         s = shift(p, neutral_center([p]))
-        assert s.as_tuple() == (0.0, 0.0, 0.0)
+        assert s.tolist() == [[0.0, 0.0, 0.0]]
+
+
+def test_neutral_center_sums_in_order():
+    rng = np.random.default_rng(6)
+    points = [VadPoint(*p) for p in rng.uniform(0, 1, (1000, 3))]
+    # the mean a plain left-to-right sum gives, bit for bit
+    expected = tuple(sum(p[i] for p in points) / len(points) for i in range(3))
+    assert neutral_center(points).point == expected
+    assert neutral_center(np.asfortranarray(points)).point == expected  # any memory order
 
 
 def test_vad_point_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="valence component 1.2 outside"):
         VadPoint(1.2, 0.0, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="arousal component -0.1 outside"):
         VadPoint(0.0, -0.1, 0.0)
-
-
-def test_spherical_vector_validation():
-    with pytest.raises(ValueError):
-        SphericalVector(-0.1, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        SphericalVector(1.0, 4.0, 0.0)
-    with pytest.raises(ValueError):
-        SphericalVector(0.0, 0.5, 0.0)  # zero radius must be canonical
+    p = VadPoint(0.1, 0.2, 0.3)
+    assert (p.v, p.a, p.d) == p.as_tuple() == (0.1, 0.2, 0.3)
+    assert np.asarray([p, p]).shape == (2, 3)

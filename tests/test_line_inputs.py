@@ -76,6 +76,11 @@ def _vectors_value(text):
     return _parse_vectors(text)[1].tolist()
 
 
+def _easv_value(text):
+    e = easv_set_from_jsonl(text)
+    return e.ids, e.emotions, e.r_iqr.tolist(), e.theta.tolist(), e.phi.tolist()
+
+
 def _track_value(text):
     t = track_from_text(text)
     return t.hop, t.sample_rate, t.f0_hz.tolist(), t.voiced.tolist(), t.periodicity.tolist()
@@ -96,7 +101,7 @@ FORMATS = (
     Format("easv", lambda draw, dim: _numbered(draw, _easv_line),
            lambda dim: ("{", '{"id": "x"}',
                         '{"id": "x", "emotion": "e", "r_iqr": 2, "theta": 0, "phi": 0}'),
-           easv_set_from_jsonl,
+           _easv_value,
            lambda path, c: ["analyze", "--easv", path, "--prosody", c["prosody"],
                             "--manifest", c["manifest"]]),
     Format("prosody", lambda draw, dim: _numbered(draw, _prosody_line),

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from vadsphere import (
-    AngleVector,
     Centroid,
-    EmbeddingBatch,
     VadPoint,
     angle_cosine,
     eca,
@@ -16,6 +14,7 @@ from vadsphere import (
     pair_order_accuracy,
     svas,
 )
+from vadsphere.manifest import RowError
 
 
 CENTER = Centroid((0.5, 0.5, 0.5), "neutral-mean")
@@ -23,31 +22,42 @@ CENTER = Centroid((0.5, 0.5, 0.5), "neutral-mean")
 
 def test_svas_self_similarity():
     p = VadPoint(0.8, 0.7, 0.6)
-    assert svas(p, p, CENTER) == pytest.approx(1.0, abs=1e-12)
+    assert svas([p], [p], CENTER) == pytest.approx([1.0], abs=1e-12)
 
 
 def test_svas_requires_neutral_mean_center():
     adaptive = Centroid((0.5, 0.5, 0.5), "emotion-adaptive", emotion="happy")
     with pytest.raises(ValueError, match="neutral-mean"):
-        svas(VadPoint(0.8, 0.7, 0.6), VadPoint(0.7, 0.6, 0.5), adaptive)
+        svas([VadPoint(0.8, 0.7, 0.6)], [VadPoint(0.7, 0.6, 0.5)], adaptive)
 
 
 def test_svas_degenerate_radius():
     with pytest.raises(ValueError, match="degenerate radius"):
-        svas(VadPoint(0.5, 0.5, 0.5), VadPoint(0.8, 0.7, 0.6), CENTER)
+        svas([VadPoint(0.5, 0.5, 0.5)], [VadPoint(0.8, 0.7, 0.6)], CENTER)
+    # the first faulty row, synth before ref within a row
+    on_center, off = (0.5, 0.5, 0.5), (0.8, 0.7, 0.6)
+    for synth, ref, row, arg in (([off, off, on_center], [off, on_center, off], 1, 1),
+                                 ([off, on_center], [off, on_center], 1, 0)):
+        with pytest.raises(RowError) as info:
+            svas(synth, ref, CENTER)
+        assert (info.value.row, info.value.arg) == (row, arg)
 
 
 def test_svas_bounded_and_symmetric():
     rng = np.random.default_rng(8)
+    pairs = []
     for _ in range(100):
         a = VadPoint(*rng.uniform(0, 1, 3))
         b = VadPoint(*rng.uniform(0, 1, 3))
         if min((np.array(a.as_tuple()) - 0.5) ** 2 @ np.ones(3),
                (np.array(b.as_tuple()) - 0.5) ** 2 @ np.ones(3)) < 1e-12:
             continue
-        value = svas(a, b, CENTER)
-        assert -1.0 - 1e-12 <= value <= 1.0 + 1e-12
-        assert value == pytest.approx(svas(b, a, CENTER), abs=1e-12)
+        pairs.append((a, b))
+    a, b = np.array(pairs).transpose(1, 0, 2)
+    values = svas(a, b, CENTER)
+    assert values.shape == (len(pairs),)
+    assert np.all((-1.0 - 1e-12 <= values) & (values <= 1.0 + 1e-12))
+    assert values == pytest.approx(svas(b, a, CENTER), abs=1e-12)
 
 
 def test_svas_jumps_at_the_phi_branch_cut():
@@ -56,34 +66,40 @@ def test_svas_jumps_at_the_phi_branch_cut():
     # it, so two directions 2e-4 apart score far below 1
     a = VadPoint(0.5 + 1e-4, 0.3, 0.6)
     b = VadPoint(0.5 - 1e-4, 0.3, 0.6)
-    assert svas(a, a, CENTER) == pytest.approx(1.0, abs=1e-12)
-    assert svas(b, b, CENTER) == pytest.approx(1.0, abs=1e-12)
-    assert svas(a, b, CENTER) == pytest.approx(-0.77898, abs=1e-5)
+    assert svas([a, b, a], [a, b, b], CENTER) == pytest.approx([1.0, 1.0, -0.77898], abs=1e-5)
+    assert svas([a, b], [a, b], CENTER) == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
 def test_angle_cosine_orthogonal():
-    assert angle_cosine(AngleVector(1.0, 0.0), AngleVector(0.0, 1.0)) == 0.0
+    assert angle_cosine([[1.0, 0.0]], [[0.0, 1.0]]).tolist() == [0.0]
 
 
 def test_angle_cosine_closed_form():
-    value = angle_cosine(AngleVector(1.0, 1.0), AngleVector(1.0, 0.0))
-    assert value == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-4)
+    value = angle_cosine([[1.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]])
+    assert value == pytest.approx([1.0 / math.sqrt(2.0), 1.0], abs=1e-4)
 
 
 def test_eecs_identity():
-    assert eecs([0.6, 0.8], [0.6, 0.8]) == pytest.approx(1.0)
+    assert eecs([[0.6, 0.8]], [[0.6, 0.8]]) == pytest.approx([1.0])
 
 
 def test_eecs_orthogonal():
-    assert eecs([1, 0], [0, 1]) == 0.0
-    assert eecs([1, 1], [1, -1]) == 0.0
+    assert eecs([[1, 0], [1, 1]], [[0, 1], [1, -1]]).tolist() == [0.0, 0.0]
 
 
 def test_eecs_errors():
     with pytest.raises(ValueError, match="dimension mismatch"):
-        eecs([1, 0], [1, 0, 0])
+        eecs([[1, 0]], [[1, 0, 0]])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        eecs([1, 0], [1, 0])  # rows, not one flat vector
     with pytest.raises(ValueError, match="zero-norm"):
-        eecs([0, 0], [1, 0])
+        eecs([[0, 0]], [[1, 0]])
+    # the first faulty row, a before b within a row
+    for a, b, row, arg in (([[1, 0], [1, 0], [0, 0]], [[1, 0], [0, 0], [1, 0]], 1, 1),
+                           ([[1, 0], [0, 0]], [[1, 0], [0, 0]], 1, 0)):
+        with pytest.raises(RowError) as info:
+            eecs(a, b)
+        assert (info.value.row, info.value.arg) == (row, arg)
 
 
 def test_eca_examples():
@@ -157,13 +173,6 @@ def test_orthogonality_errors():
         orthogonality_loss(np.zeros((2, 2)), np.ones((2, 2)))
     with pytest.raises(ValueError, match="shape mismatch"):
         orthogonality_loss(np.ones((2, 2)), np.ones((3, 2)))
-
-
-def test_embedding_batch_validation():
-    with pytest.raises(ValueError):
-        EmbeddingBatch(np.empty((0, 3)))
-    batch = EmbeddingBatch(np.ones((2, 3)))
-    assert batch.n == 2 and batch.dim == 3
 
 
 def test_pair_order_accuracy_examples():

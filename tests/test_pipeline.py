@@ -15,7 +15,6 @@ from vadsphere import (
     StyleOctant,
     UtteranceRecord,
     VadPoint,
-    extract_easv,
     extract_easv_set,
     fit_easv_model,
     intensity_label_to_value,
@@ -121,17 +120,18 @@ def test_intensity_labels():
 
 def test_control_vector_octant_one():
     easv = make_control_vector(ControlSpec("happy", StyleOctant.I, 0.5))
-    assert easv.r_iqr == 0.5
-    assert easv.theta == pytest.approx(math.acos(1.0 / math.sqrt(3.0)), abs=1e-12)
-    assert easv.phi == pytest.approx(math.pi / 4, abs=1e-12)
-    assert easv.emotion == "happy"
+    assert len(easv) == 1 and easv.ids == ("",)
+    assert easv.r_iqr[0] == 0.5
+    assert easv.theta[0] == pytest.approx(math.acos(1.0 / math.sqrt(3.0)), abs=1e-12)
+    assert easv.phi[0] == pytest.approx(math.pi / 4, abs=1e-12)
+    assert easv.emotions == ("happy",)
 
 
 def test_control_vector_octant_seven():
     easv = make_control_vector(ControlSpec("sad", StyleOctant.VII, 0.0))
-    assert easv.r_iqr == 0.0
-    assert easv.theta == pytest.approx(math.acos(-1.0 / math.sqrt(3.0)), abs=1e-12)
-    assert easv.phi == pytest.approx(-3.0 * math.pi / 4, abs=1e-12)
+    assert easv.r_iqr[0] == 0.0
+    assert easv.theta[0] == pytest.approx(math.acos(-1.0 / math.sqrt(3.0)), abs=1e-12)
+    assert easv.phi[0] == pytest.approx(-3.0 * math.pi / 4, abs=1e-12)
 
 
 def test_control_spec_validation():
@@ -178,18 +178,26 @@ def test_fit_bounds_recomputation_oracle():
         assert bounds.r_min < bounds.q1 <= bounds.q3 < bounds.r_max
         # recompute the radii independently and compare the quartiles
         centroid = model.centroids[emotion]
-        radii = sorted(to_spherical(shift(r.vad, centroid)).r
-                       for r in manifest.class_records(emotion))
+        radii = sorted(to_spherical(shift([r.vad for r in manifest.class_records(emotion)],
+                                          centroid))[:, 0])
         q1, q3 = np.percentile(radii, [25, 75])
         assert bounds.q1 == pytest.approx(q1, abs=1e-12)
         assert bounds.q3 == pytest.approx(q3, abs=1e-12)
 
 
+def _one_record(rec: UtteranceRecord) -> DatasetManifest:
+    return DatasetManifest((rec,), "neutral")
+
+
 def test_extract_neutral_is_exact_zero():
     model = fit_easv_model(_toy_manifest(), SolverConfig())
     rec = UtteranceRecord("x", "s", "neutral", VadPoint(0.9, 0.1, 0.7))
-    easv = extract_easv(rec, model)
-    assert (easv.r_iqr, easv.theta, easv.phi) == (0.0, 0.0, 0.0)
+    easv = extract_easv_set(_one_record(rec), model)
+    assert (easv.r_iqr[0], easv.theta[0], easv.phi[0]) == (0.0, 0.0, 0.0)
+    easvs = extract_easv_set(_toy_manifest(), model)
+    neutral = np.array(easvs.emotions) == "neutral"
+    rows = np.column_stack([easvs.r_iqr, easvs.theta, easvs.phi])[neutral]
+    assert rows.tolist() == [[0.0, 0.0, 0.0]] * 5
 
 
 def test_extract_worked_example():
@@ -200,29 +208,31 @@ def test_extract_worked_example():
                       neutral_label="neutral")
     # shifted vad = (0.3, 0.4, 0.0), radius 0.5
     rec = UtteranceRecord("u", "s", "happy", VadPoint(0.8, 0.8, 0.6))
-    easv = extract_easv(rec, model)
-    assert easv.r_iqr == pytest.approx((0.5 + 1.0) / 8.0)
-    assert easv.theta == pytest.approx(math.pi / 2)
-    assert easv.phi == pytest.approx(math.atan2(0.3, 0.4))
+    easv = extract_easv_set(_one_record(rec), model)
+    assert (easv.ids, easv.emotions) == (("u",), ("happy",))
+    assert easv.r_iqr[0] == pytest.approx((0.5 + 1.0) / 8.0)
+    assert easv.theta[0] == pytest.approx(math.pi / 2)
+    assert easv.phi[0] == pytest.approx(math.atan2(0.3, 0.4))
 
 
 def test_extract_unknown_class():
     model = fit_easv_model(_toy_manifest(), SolverConfig())
     rec = UtteranceRecord("x", "s", "fear", VadPoint(0.5, 0.5, 0.5))
-    with pytest.raises(ValueError, match="unknown emotion class"):
-        extract_easv(rec, model)
+    with pytest.raises(ValueError, match="unknown emotion class 'fear'"):
+        extract_easv_set(_one_record(rec), model)
 
 
 def test_extract_angle_passthrough_bit_for_bit():
     manifest = synthetic_manifest(per_class=30, seed=12)
     model = fit_easv_model(manifest, SolverConfig())
-    for record in manifest.records:
+    easvs = extract_easv_set(manifest, model)
+    for row, record in enumerate(manifest.records):
         if record.emotion == "neutral":
             continue
-        sv = to_spherical(shift(record.vad, model.centroids[record.emotion]))
-        easv = extract_easv(record, model)
-        assert easv.theta == sv.theta
-        assert easv.phi == sv.phi
+        sv = to_spherical(shift(record.vad, model.centroids[record.emotion]))[0]
+        assert easvs.ids[row] == record.id
+        assert easvs.theta[row] == sv[1]
+        assert easvs.phi[row] == sv[2]
 
 
 def test_extract_set_r_iqr_in_unit_interval():
@@ -230,7 +240,7 @@ def test_extract_set_r_iqr_in_unit_interval():
     model = fit_easv_model(manifest, SolverConfig())
     easvs = extract_easv_set(manifest, model)
     assert len(easvs) == len(manifest)
-    assert all(0.0 <= e.r_iqr <= 1.0 for e in easvs.values())
+    assert np.all((0.0 <= easvs.r_iqr) & (easvs.r_iqr <= 1.0))
 
 
 def test_model_determinism_and_serialization_round_trip():
@@ -259,7 +269,10 @@ def test_easv_jsonl_round_trip():
     easvs = extract_easv_set(manifest, model)
     text = easv_set_to_jsonl(easvs)
     back = easv_set_from_jsonl(text)
-    assert back == easvs
+    assert (back.ids, back.emotions) == (easvs.ids, easvs.emotions)
+    for column in ("r_iqr", "theta", "phi"):
+        assert getattr(back, column).tolist() == getattr(easvs, column).tolist()
+    assert easv_set_to_jsonl(back) == text
 
 
 def test_easv_model_validation():
