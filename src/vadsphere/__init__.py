@@ -10,7 +10,6 @@ workflow.
 from .analysis import (
     AnalysisCell,
     AnalysisReport,
-    IntensityRegion,
     bin_intensity,
     build_report,
     range_rc,
@@ -44,7 +43,6 @@ from .metrics import (
     svas,
 )
 from .pipeline import (
-    ControlSpec,
     EasvModel,
     EasvSet,
     IqrBounds,
@@ -75,13 +73,11 @@ __all__ = [
     "AnalysisReport",
     "AudioBuffer",
     "Centroid",
-    "ControlSpec",
     "DatasetManifest",
     "EasvModel",
     "EasvSet",
     "F0Config",
     "F0Track",
-    "IntensityRegion",
     "IqrBounds",
     "ProsodyStats",
     "SolverConfig",

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import OCTANT_ORDER, StyleOctant, octant_codes, to_cartesian
+from .geometry import OCTANT_ORDER, octant_codes, to_cartesian
 from .manifest import DatasetManifest
 from .pipeline import EasvSet
 from .prosody import ProsodyStats
@@ -25,16 +24,8 @@ FEATURES = ("pitch", "energy", "duration")
 
 REGION_SPLITS = (0.33, 0.66)
 
-
-class IntensityRegion(Enum):
-    """Thirds of normalized intensity: [0, 0.33), [0.33, 0.66), [0.66, 1]."""
-
-    R1 = "R1"
-    R2 = "R2"
-    R3 = "R3"
-
-
-REGION_ORDER = tuple(IntensityRegion)
+# Intensity regions by tag: the thirds [0, 0.33), [0.33, 0.66), [0.66, 1].
+REGION_ORDER = ("R1", "R2", "R3")
 
 
 def bin_intensity(r_iqr) -> np.ndarray:
@@ -49,24 +40,7 @@ def bin_intensity(r_iqr) -> np.ndarray:
 
 @dataclass
 class AnalysisCell:
-    """Aggregate for one (emotion, octant, region) group."""
-
-    emotion: str
-    octant: StyleOctant
-    region: IntensityRegion
-    count: int
-    pitch_mean: float | None
-    energy_mean: float | None
-    duration_mean: float | None
-
-    def feature_mean(self, feature: str) -> float | None:
-        return {"pitch": self.pitch_mean, "energy": self.energy_mean,
-                "duration": self.duration_mean}[feature]
-
-
-@dataclass
-class NeutralSummary:
-    """Whole-class aggregate for the neutral label (no octant/region split)."""
+    """Record count and feature means of one group of records."""
 
     count: int
     pitch_mean: float | None
@@ -76,18 +50,15 @@ class NeutralSummary:
 
 @dataclass
 class AnalysisReport:
-    """Cells plus derived Rc/AVG maps; keys are plain string tuples."""
+    """Populated cells keyed (emotion, octant tag, region tag), Rc and AVG keyed
+    (emotion, octant tag, feature), and the whole neutral class as one cell."""
 
     cells: dict[tuple[str, str, str], AnalysisCell]
     rc: dict[tuple[str, str, str], float]
     avg: dict[tuple[str, str, str], float]
-    neutral: NeutralSummary
+    neutral: AnalysisCell
     neutral_label: str
     emotion_order: tuple[str, ...]
-
-    def cell(self, emotion: str, octant: StyleOctant,
-             region: IntensityRegion) -> AnalysisCell | None:
-        return self.cells.get((emotion, octant.tag, region.value))
 
 
 def range_rc(values: Sequence[float | None],
@@ -153,6 +124,9 @@ def build_report(easvs: EasvSet,
     def mean(f: int, b: int) -> float | None:
         return sums[f][b] / counts[f][b] if counts[f][b] else None
 
+    def cell_at(b: int) -> AnalysisCell:
+        return AnalysisCell(count[b], *(mean(f, b) for f in range(len(FEATURES))))
+
     cells: dict[tuple[str, str, str], AnalysisCell] = {}
     rc: dict[tuple[str, str, str], float] = {}
     avg: dict[tuple[str, str, str], float] = {}
@@ -162,9 +136,7 @@ def build_report(easvs: EasvSet,
             group = range(start, start + len(REGION_ORDER))
             for region, b in zip(REGION_ORDER, group):
                 if count[b]:
-                    cells[(emotion, octant.tag, region.value)] = AnalysisCell(
-                        emotion, octant, region, count[b],
-                        *(mean(f, b) for f in range(len(FEATURES))))
+                    cells[(emotion, octant.tag, region)] = cell_at(b)
             for f, feature in enumerate(FEATURES):
                 spread = range_rc([mean(f, b) for b in group], [counts[f][b] for b in group])
                 if spread is not None:
@@ -174,9 +146,7 @@ def build_report(easvs: EasvSet,
                     avg[(emotion, octant.tag, feature)] = (
                         sum(sums[f][b] for b in group) / total_count)
 
-    neutral = NeutralSummary(count[neutral_bin],
-                             *(mean(f, neutral_bin) for f in range(len(FEATURES))))
-    return AnalysisReport(cells=cells, rc=rc, avg=avg, neutral=neutral,
+    return AnalysisReport(cells=cells, rc=rc, avg=avg, neutral=cell_at(neutral_bin),
                           neutral_label=manifest.neutral_label,
                           emotion_order=emotion_order)
 
@@ -195,9 +165,9 @@ def _fmt_count(value: int | None) -> str:
 
 def _markdown(report: AnalysisReport) -> str:
     header = ["Emotion", "Style"]
-    header += [f"N {r.value}" for r in REGION_ORDER] + ["N All"]
+    header += [f"N {r}" for r in REGION_ORDER] + ["N All"]
     for label in ("Pitch", "Energy", "Duration"):
-        header += [f"{label} {r.value}" for r in REGION_ORDER]
+        header += [f"{label} {r}" for r in REGION_ORDER]
         header += [f"{label} Rc", f"{label} AVG"]
 
     lines = [
@@ -222,7 +192,7 @@ def _markdown(report: AnalysisReport) -> str:
 
     for emotion in report.emotion_order:
         for octant in OCTANT_ORDER:
-            row_cells = [report.cell(emotion, octant, region) for region in REGION_ORDER]
+            row_cells = [report.cells.get((emotion, octant.tag, r)) for r in REGION_ORDER]
             if all(c is None for c in row_cells):
                 continue
             counts = [c.count if c else 0 for c in row_cells]
@@ -230,7 +200,7 @@ def _markdown(report: AnalysisReport) -> str:
             row += [_fmt_count(c.count) if c else "-" for c in row_cells]
             row.append(_fmt_count(sum(counts)))
             for feature in FEATURES:
-                row += [_fmt_mean(c.feature_mean(feature)) if c else "-"
+                row += [_fmt_mean(getattr(c, f"{feature}_mean")) if c else "-"
                         for c in row_cells]
                 row.append(_fmt_mean(report.rc.get((emotion, octant.tag, feature))))
                 row.append(_fmt_mean(report.avg.get((emotion, octant.tag, feature))))
@@ -239,26 +209,19 @@ def _markdown(report: AnalysisReport) -> str:
 
 
 def _csv(report: AnalysisReport) -> str:
-    def raw(value: float | None) -> str:
-        return "" if value is None else repr(value)
+    def row(key: tuple[str, str, str], c: AnalysisCell) -> str:
+        means = (c.pitch_mean, c.energy_mean, c.duration_mean)
+        return ",".join([*key, str(c.count), *("" if m is None else repr(m) for m in means)])
 
     lines = ["emotion,octant,region,count,pitch_mean,energy_mean,duration_mean"]
     if report.neutral.count > 0:
-        lines.append(",".join([
-            report.neutral_label, "", "", str(report.neutral.count),
-            raw(report.neutral.pitch_mean), raw(report.neutral.energy_mean),
-            raw(report.neutral.duration_mean),
-        ]))
+        lines.append(row((report.neutral_label, "", ""), report.neutral))
     for emotion in report.emotion_order:
         for octant in OCTANT_ORDER:
             for region in REGION_ORDER:
-                c = report.cell(emotion, octant, region)
-                if c is None:
-                    continue
-                lines.append(",".join([
-                    emotion, octant.tag, region.value, str(c.count),
-                    raw(c.pitch_mean), raw(c.energy_mean), raw(c.duration_mean),
-                ]))
+                key = (emotion, octant.tag, region)
+                if key in report.cells:
+                    lines.append(row(key, report.cells[key]))
     return "\n".join(lines) + "\n"
 
 

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .geometry import MODE_EMOTION_ADAPTIVE, Centroid, VadPoint, as_points
+from .geometry import Centroid, VadPoint, as_points
 
 logger = logging.getLogger(__name__)
 
@@ -88,8 +88,7 @@ def _lattice_argmax(t_arr: np.ndarray, n_arr: np.ndarray, step: float,
 
 
 def solve_centroid(targets: Sequence, neutrals: Sequence,
-                   cfg: SolverConfig | None = None,
-                   emotion: str | None = None) -> Centroid:
+                   cfg: SolverConfig | None = None) -> Centroid:
     """Maximize the distance-ratio objective over the VAD cube.
 
     Scans the step-0.1 lattice, then runs a compass search from its best
@@ -117,14 +116,11 @@ def solve_centroid(targets: Sequence, neutrals: Sequence,
         else:
             h *= 0.5
     logger.debug("solve_centroid: best objective %.6f at %s", best_value, best_point)
-    return Centroid(point=tuple(float(x) for x in best_point),
-                    mode=MODE_EMOTION_ADAPTIVE, emotion=emotion,
-                    objective=float(best_value))
+    return Centroid(point=tuple(float(x) for x in best_point), objective=float(best_value))
 
 
 def grid_search_centroid(targets: Sequence, neutrals: Sequence, step: float,
-                         eps: float = SolverConfig.denominator_epsilon,
-                         emotion: str | None = None) -> Centroid:
+                         eps: float = SolverConfig.denominator_epsilon) -> Centroid:
     """Exhaustive maximizer over the lattice {0, step, 2*step, ..., 1}^3.
 
     The global phase of solve_centroid at any step. Ties break to the
@@ -134,5 +130,4 @@ def grid_search_centroid(targets: Sequence, neutrals: Sequence, step: float,
         raise ValueError(f"step {step} must be in (0, 0.5]")
     _check_eps(eps)
     point = _lattice_argmax(_points(targets), _points(neutrals), step, eps)
-    return Centroid(point=point, mode=MODE_EMOTION_ADAPTIVE, emotion=emotion,
-                    objective=objective(point, targets, neutrals, eps))
+    return Centroid(point=point, objective=objective(point, targets, neutrals, eps))

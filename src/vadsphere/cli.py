@@ -25,7 +25,7 @@ import numpy as np
 
 from .analysis import build_report, render_report
 from .centroid import SolverConfig
-from .geometry import AXES, MODE_NEUTRAL_MEAN, Centroid, StyleOctant, neutral_center
+from .geometry import AXES, Centroid, StyleOctant, neutral_center
 from .manifest import (
     RowError,
     first_fault,
@@ -39,7 +39,6 @@ from .manifest import (
 )
 from .metrics import eca, eecs, orthogonality_loss, pair_order_accuracy, svas
 from .pipeline import (
-    ControlSpec,
     easv_set_from_jsonl,
     easv_set_to_jsonl,
     extract_easv_set,
@@ -168,6 +167,18 @@ def _row_fault(exc: RowError, *inputs: tuple[str, np.ndarray]) -> ValueError:
     return ValueError(f"{path}: {line_error(line_nos[exc.row], exc)}")
 
 
+def _vector_files_metric(metric, path_a: str, path_b: str):
+    """metric(a, b) over the same-shape vector arrays of two files; a RowError
+    names its file and line."""
+    (a_lines, a), (b_lines, b) = (_parse_file(path, _parse_vectors) for path in (path_a, path_b))
+    if a.shape != b.shape:
+        raise ValueError(f"embedding shape mismatch: {a.shape} vs {b.shape}")
+    try:
+        return metric(a, b)
+    except RowError as exc:
+        raise _row_fault(exc, (path_a, a_lines), (path_b, b_lines)) from exc
+
+
 def _parse_intensity(raw: str) -> float:
     try:
         value = float(raw)
@@ -202,13 +213,9 @@ def _cmd_extract(args) -> tuple[str, str | None]:
 
 
 def _cmd_control_vec(args) -> tuple[str, str | None]:
-    spec = ControlSpec(
-        emotion=args.emotion,
-        octant=StyleOctant.from_tag(args.octant),
-        intensity=_parse_intensity(args.intensity),
-    )
-    easv = make_control_vector(spec)
-    obj = {"emotion": spec.emotion, "octant": spec.octant.tag, "r_iqr": float(easv.r_iqr[0]),
+    octant = StyleOctant.from_tag(args.octant)
+    easv = make_control_vector(args.emotion, octant, _parse_intensity(args.intensity))
+    obj = {"emotion": args.emotion, "octant": octant.tag, "r_iqr": float(easv.r_iqr[0]),
            "theta": float(easv.theta[0]), "phi": float(easv.phi[0])}
     return json.dumps(obj) + "\n", args.out
 
@@ -225,7 +232,7 @@ def _cmd_svas(args) -> tuple[str, str | None]:
             parts = []
         if len(parts) != 3:
             raise ValueError(f"--center expects 'v,a,d', got {args.center!r}")
-        center = Centroid(point=tuple(parts), mode=MODE_NEUTRAL_MEAN)
+        center = Centroid(point=tuple(parts))
     elif args.manifest is not None:
         manifest = _parse_file(args.manifest, parse_manifest, args.neutral_label)
         neutrals = [r.vad for r in manifest.neutral_records()]
@@ -255,19 +262,11 @@ def _cmd_metrics(args) -> tuple[str, str | None]:
         raise ValueError("--track-a and --track-b must be given together")
 
     if args.emb_a is not None:
-        a_lines, a = _parse_file(args.emb_a, _parse_vectors)
-        b_lines, b = _parse_file(args.emb_b, _parse_vectors)
-        if a.shape != b.shape:
-            raise ValueError(f"embedding shape mismatch: {a.shape} vs {b.shape}")
-        try:
-            values = eecs(a, b)
-        except RowError as exc:
-            raise _row_fault(exc, (args.emb_a, a_lines), (args.emb_b, b_lines)) from exc
+        values = _vector_files_metric(eecs, args.emb_a, args.emb_b)
         results.append(("eecs", float(np.mean(values))))
     if args.speaker_emb is not None:
-        results.append(("orthogonality_loss", orthogonality_loss(
-            _parse_file(args.speaker_emb, _parse_vectors)[1],
-            _parse_file(args.emotion_emb, _parse_vectors)[1])))
+        results.append(("orthogonality_loss", _vector_files_metric(
+            orthogonality_loss, args.speaker_emb, args.emotion_emb)))
     if args.pred_labels is not None:
         results.append(("eca", eca(_parse_file(args.pred_labels, _stripped_lines, "labels"),
                                    _parse_file(args.ref_labels, _stripped_lines, "labels"))))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -19,9 +19,6 @@ import numpy as np
 # Radii below this are treated as coincident with the center and map to the
 # canonical zero vector.
 DEGENERATE_RADIUS = 1e-12
-
-MODE_NEUTRAL_MEAN = "neutral-mean"
-MODE_EMOTION_ADAPTIVE = "emotion-adaptive"
 
 AXES = ("valence", "arousal", "dominance")
 
@@ -75,18 +72,12 @@ class StyleOctant(Enum):
         return self.name
 
     @classmethod
-    def from_signs(cls, signs: tuple[int, int, int]) -> "StyleOctant":
-        return _SIGNS_TO_OCTANT[signs]
-
-    @classmethod
     def from_tag(cls, tag: str) -> "StyleOctant":
         try:
             return cls[tag.strip().upper()]
         except KeyError:
             raise ValueError(f"unknown style octant {tag!r}; expected I..VIII") from None
 
-
-_SIGNS_TO_OCTANT = {octant.value: octant for octant in StyleOctant}
 
 OCTANT_ORDER = tuple(StyleOctant)
 
@@ -95,20 +86,15 @@ OCTANT_ORDER = tuple(StyleOctant)
 class Centroid:
     """A representative center point in the VAD cube.
 
-    mode is "neutral-mean" for the plain average of neutral points or
-    "emotion-adaptive" for an optimized per-emotion center. Adaptive
-    centroids stored in a model always carry their emotion label; the label
-    is attached by the fitting layer.
+    Where a centroid is kept says which kind it is: a model's per-emotion
+    centers are optimized (objective is the distance ratio they reach), and
+    SVAS takes the plain neutral mean.
     """
 
     point: tuple[float, float, float]
-    mode: str
-    emotion: str | None = None
-    objective: float | None = None
+    objective: float | None = field(default=None, kw_only=True)
 
     def __post_init__(self) -> None:
-        if self.mode not in (MODE_NEUTRAL_MEAN, MODE_EMOTION_ADAPTIVE):
-            raise ValueError(f"unknown centroid mode {self.mode!r}")
         if len(self.point) != 3:
             raise ValueError("centroid point must have 3 components")
         for value in self.point:
@@ -133,7 +119,7 @@ def neutral_center(neutral_points: Sequence[VadPoint] | np.ndarray) -> Centroid:
     if len(points) == 0:
         raise ValueError("neutral_center requires a non-empty point sequence")
     mean = points.cumsum(axis=0)[-1] / len(points)
-    return Centroid(point=tuple(mean.tolist()), mode=MODE_NEUTRAL_MEAN)
+    return Centroid(point=tuple(mean.tolist()))
 
 
 def shift(points: Sequence[VadPoint] | np.ndarray, c: Centroid) -> np.ndarray:
@@ -168,8 +154,7 @@ def to_cartesian(spherical: np.ndarray) -> np.ndarray:
 # Index in OCTANT_ORDER of each sign pattern, looked up by the bits
 # (v < 0) + 2 (a < 0) + 4 (d < 0).
 _OCTANT_CODE = np.array([
-    OCTANT_ORDER.index(StyleOctant.from_signs(tuple(-1 if bits >> i & 1 else 1
-                                                    for i in range(3))))
+    OCTANT_ORDER.index(StyleOctant(tuple(-1 if bits >> i & 1 else 1 for i in range(3))))
     for bits in range(8)])
 
 

@@ -8,8 +8,9 @@ rejects an id seen twice, naming both lines.
 Manifests are UTF-8 text with one JSON object per line. Required keys:
 ``id``, ``speaker``, ``emotion`` (each a string, or a number read as
 text), ``vad`` (3-element array in [0, 1]). Optional keys:
-``audio_path``, ``emo_embedding``, ``spk_embedding``. Unknown keys are
-ignored. Records are kept sorted by id so downstream aggregation is
+``audio_path`` (a string), ``emo_embedding``, ``spk_embedding`` (non-empty
+arrays). Numbers are JSON numbers: ``"1.5"`` and ``true`` are not. Unknown
+keys are ignored. Records are kept sorted by id so downstream aggregation is
 deterministic.
 
 WAV support is deliberately narrow: RIFF little-endian, 16-bit signed PCM,
@@ -35,6 +36,9 @@ from .geometry import VadPoint
 REQUIRED_KEYS = ("id", "speaker", "emotion", "vad")
 
 INT16_SCALE = 32768.0
+
+# What json.loads makes of a JSON number; compared by type(), as bool is an int
+_JSON_NUMBER = frozenset((int, float))
 
 
 @dataclass(frozen=True)
@@ -180,37 +184,37 @@ def label_field(obj: dict, key: str) -> str:
 def number_field(obj: dict, key: str) -> float:
     """obj[key] as a float: a JSON number; true, "1.5" or null is no number."""
     value = obj[key]
-    if type(value) not in (int, float):
+    if type(value) not in _JSON_NUMBER:
         raise ValueError(f"{key} must be a number")
     return float(value)
 
 
-def _parse_vad(raw) -> VadPoint:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 3:
+def number_list(obj: dict, key: str) -> list[float]:
+    """obj[key] as floats: a JSON array of numbers, each by number_field's rule."""
+    values = obj[key]
+    if type(values) is not list or not _JSON_NUMBER.issuperset(map(type, values)):
+        raise ValueError(f"{key} must be an array of numbers")
+    return list(map(float, values))
+
+
+def _parse_vad(obj: dict) -> VadPoint:
+    values = number_list(obj, "vad")
+    if len(values) != 3:
         raise ValueError("vad must be a 3-element array")
-    values = []
-    for component in raw:
-        if not isinstance(component, (int, float)) or isinstance(component, bool):
-            raise ValueError("vad components must be numbers")
-        values.append(float(component))
-    if any(not (0.0 <= value <= 1.0) for value in values):
+    if not all(0.0 <= value <= 1.0 for value in values):
         raise ValueError("vad out of range")
     return VadPoint(*values)
 
 
 def _parse_embedding(obj: dict, key: str) -> tuple[float, ...] | None:
-    raw = obj.get(key)
-    if raw is None:
+    if obj.get(key) is None:
         return None
-    if not isinstance(raw, (list, tuple)) or len(raw) == 0:
+    values = number_list(obj, key)
+    if not values:
         raise ValueError(f"{key} must be a non-empty array")
-    try:
-        values = tuple(float(x) for x in raw)
-    except (TypeError, ValueError):
-        raise ValueError(f"{key} must contain only numbers") from None
     if not all(math.isfinite(x) for x in values):
         raise ValueError(f"{key} must contain only finite numbers")
-    return values
+    return tuple(values)
 
 
 def _parse_record(line: str) -> tuple[str, UtteranceRecord]:
@@ -223,12 +227,15 @@ def _parse_record(line: str) -> tuple[str, UtteranceRecord]:
     for key in REQUIRED_KEYS:
         if key not in obj:
             raise ValueError(f"missing required key '{key}'")
+    audio_path = obj.get("audio_path")
+    if audio_path is not None and type(audio_path) is not str:
+        raise ValueError("audio_path must be a string")
     record = UtteranceRecord(
         id=label_field(obj, "id"),
         speaker=label_field(obj, "speaker"),
         emotion=label_field(obj, "emotion"),
-        vad=_parse_vad(obj["vad"]),
-        audio_path=str(obj["audio_path"]) if obj.get("audio_path") is not None else None,
+        vad=_parse_vad(obj),
+        audio_path=audio_path,
         emo_embedding=_parse_embedding(obj, "emo_embedding"),
         spk_embedding=_parse_embedding(obj, "spk_embedding"),
     )

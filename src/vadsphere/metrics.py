@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import MODE_NEUTRAL_MEAN, Centroid, shift, to_spherical
+from .geometry import Centroid, shift, to_spherical
 from .manifest import RowError, first_fault
 
 # Below this shifted radius the style angle is undefined.
@@ -52,8 +52,6 @@ def svas(synth_vad, ref_vad, neutral_center: Centroid) -> np.ndarray:
     the center has no angle: a RowError naming its row (arg 0 for synth,
     1 for ref).
     """
-    if neutral_center.mode != MODE_NEUTRAL_MEAN:
-        raise ValueError("svas requires a neutral-mean centroid")
     synth = to_spherical(shift(synth_vad, neutral_center))
     ref = to_spherical(shift(ref_vad, neutral_center))
     if synth.shape != ref.shape:
@@ -86,7 +84,8 @@ def orthogonality_loss(speaker: np.ndarray, emotion: np.ndarray) -> float:
     """All-pairs normalized squared dot product between two batches.
 
     sum over (i, j) of (s_i . e_j)^2 / (|s_i|^2 |e_j|^2). Zero when the
-    batches are mutually orthogonal, n^2 when every pair is parallel.
+    batches are mutually orthogonal, n^2 when every pair is parallel. A
+    zero-norm row is a RowError naming it (arg 0 for speaker, 1 for emotion).
     """
     s = np.asarray(speaker, dtype=np.float64)
     e = np.asarray(emotion, dtype=np.float64)
@@ -96,8 +95,10 @@ def orthogonality_loss(speaker: np.ndarray, emotion: np.ndarray) -> float:
         raise ValueError(f"shape mismatch: {s.shape} vs {e.shape}")
     s_norms = np.linalg.norm(s, axis=1)
     e_norms = np.linalg.norm(e, axis=1)
-    if np.any(s_norms == 0.0) or np.any(e_norms == 0.0):
-        raise ValueError("zero-norm row in embedding batch")
+    zero = np.column_stack([s_norms, e_norms]) == 0.0
+    if zero.any():
+        row, arg = first_fault(zero)
+        raise RowError("zero-norm row in embedding batch", row, arg)
     gram = (s / s_norms[:, None]) @ (e / e_norms[:, None]).T
     return float((gram ** 2).sum())
 

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .centroid import SolverConfig, solve_centroid
-from .geometry import MODE_EMOTION_ADAPTIVE, Centroid, StyleOctant, shift, to_spherical
+from .geometry import Centroid, StyleOctant, shift, to_spherical
 from .manifest import (
     DatasetManifest,
     RowError,
@@ -31,6 +31,7 @@ from .manifest import (
     label_field,
     line_error,
     number_field,
+    number_list,
     parse_lines,
     unique_ids,
 )
@@ -127,19 +128,6 @@ class EasvSet:
 
 
 @dataclass(frozen=True)
-class ControlSpec:
-    """Requested emotion, style octant, and intensity for a control vector."""
-
-    emotion: str
-    octant: StyleOctant
-    intensity: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.intensity <= 1.0):
-            raise ValueError(f"intensity {self.intensity} outside [0, 1]")
-
-
-@dataclass(frozen=True)
 class EasvModel:
     """Fitted per-emotion centroids and radius bounds; neutral stays implicit."""
 
@@ -152,10 +140,6 @@ class EasvModel:
             raise ValueError("centroids and bounds must cover the same emotions")
         if self.neutral_label in self.centroids:
             raise ValueError("neutral class must not appear in the fitted maps")
-        for emotion, centroid in self.centroids.items():
-            if centroid.mode != MODE_EMOTION_ADAPTIVE or centroid.emotion != emotion:
-                raise ValueError(f"centroid for {emotion!r} must be emotion-adaptive "
-                                 "and labeled with its class")
 
     def emotions(self) -> list[str]:
         return sorted(self.centroids)
@@ -210,7 +194,7 @@ def fit_easv_model(manifest: DatasetManifest,
                 f"class '{emotion}' has {len(class_rows)} records; "
                 f"need at least {MIN_CLASS_RECORDS}")
         targets = vad[class_rows]
-        centroid = solve_centroid(targets, neutrals, cfg, emotion=emotion)
+        centroid = solve_centroid(targets, neutrals, cfg)
         class_bounds = iqr_bounds(to_spherical(shift(targets, centroid))[:, 0])
         if class_bounds.degenerate:
             raise ValueError(f"degenerate radius bounds for class '{emotion}'")
@@ -248,17 +232,16 @@ def extract_easv_set(manifest: DatasetManifest, model: EasvModel) -> EasvSet:
                    r_iqr=easv[:, 0], theta=easv[:, 1], phi=easv[:, 2])
 
 
-def make_control_vector(spec: ControlSpec) -> EasvSet:
+def make_control_vector(emotion: str, octant: StyleOctant, intensity: float) -> EasvSet:
     """One spherical vector pointing down the octant's cube diagonal.
 
     The diagonal is the symmetric representative direction of a style
-    octant; the requested intensity becomes the normalized radius directly.
+    octant; the intensity, in [0, 1], becomes the normalized radius directly.
     A control vector belongs to no record, so its id is empty.
     """
-    direction = np.array([spec.octant.signs]) * (1.0 / np.sqrt(3.0))
+    direction = np.array([octant.signs]) * (1.0 / np.sqrt(3.0))
     _, theta, phi = to_spherical(direction).T
-    return EasvSet(ids=("",), emotions=(spec.emotion,), r_iqr=[spec.intensity],
-                   theta=theta, phi=phi)
+    return EasvSet(ids=("",), emotions=(emotion,), r_iqr=[intensity], theta=theta, phi=phi)
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +285,15 @@ def model_from_json(text: str) -> EasvModel:
         centroids = {}
         for emotion, entry in centroid_entries.items():
             where = f"centroids[{emotion!r}]: "
+            objective = entry.get("objective")
             centroids[emotion] = Centroid(
-                point=tuple(entry["point"]), mode=MODE_EMOTION_ADAPTIVE,
-                emotion=emotion, objective=entry.get("objective"))
+                point=tuple(number_list(entry, "point")),
+                objective=None if objective is None else number_field(entry, "objective"))
         bounds = {}
         for emotion, entry in bound_entries.items():
             where = f"bounds[{emotion!r}]: "
-            bounds[emotion] = IqrBounds(q1=entry["q1"], q3=entry["q3"],
-                                        r_min=entry["r_min"], r_max=entry["r_max"])
+            bounds[emotion] = IqrBounds(*(number_field(entry, key)
+                                          for key in ("q1", "q3", "r_min", "r_max")))
         where = ""
         return EasvModel(centroids=centroids, bounds=bounds, neutral_label=neutral_label)
     except KeyError as exc:

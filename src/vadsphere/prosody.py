@@ -172,7 +172,11 @@ def utterance_prosody(audio: AudioBuffer, cfg: F0Config | None = None) -> Prosod
 
 
 def align_tracks(a: F0Track, b: F0Track) -> tuple[F0Track, F0Track]:
-    """Truncate both tracks to the shorter frame count."""
+    """Truncate both tracks to the shorter frame count; their frame steps
+    (hop / sample_rate seconds) must be equal."""
+    if a.hop * b.sample_rate != b.hop * a.sample_rate:
+        raise ValueError(f"frame step mismatch: hop {a.hop} at {a.sample_rate} Hz vs "
+                         f"hop {b.hop} at {b.sample_rate} Hz")
     n = min(len(a), len(b))
     if n == 0:
         raise ValueError("cannot align empty tracks")

@@ -148,7 +148,7 @@ def test_orthogonality_loss_checks():
 
 def test_svas_checks():
     with _criterion("svas self-similarity and (1,1)/(1,0) closed form"):
-        center = Centroid((0.5, 0.5, 0.5), "neutral-mean")
+        center = Centroid((0.5, 0.5, 0.5))
         p = VadPoint(0.8, 0.7, 0.6)
         assert abs(svas([p], [p], center)[0] - 1.0) < 1e-12
         value = angle_cosine([[1.0, 1.0]], [[1.0, 0.0]])[0]

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from vadsphere import (
     DatasetManifest,
     EasvSet,
-    IntensityRegion,
     ProsodyStats,
     StyleOctant,
     UtteranceRecord,
@@ -20,7 +19,6 @@ from vadsphere import (
     render_report,
 )
 from vadsphere.analysis import FEATURES, REGION_ORDER
-from vadsphere.pipeline import ControlSpec
 
 REGION_R_IQR = {"R1": 0.2, "R2": 0.5, "R3": 0.8}
 
@@ -34,7 +32,7 @@ PLAN = {
 
 
 def _octant_angles(tag: str) -> tuple[float, float]:
-    probe = make_control_vector(ControlSpec("probe", StyleOctant[tag], 0.5))
+    probe = make_control_vector("probe", StyleOctant[tag], 0.5)
     return float(probe.theta[0]), float(probe.phi[0])
 
 
@@ -79,9 +77,7 @@ def build_synthetic_inputs(with_neutral: bool = True):
 
 def test_bin_intensity_examples():
     codes = bin_intensity([0.0, 0.3299, 0.33, 0.6599, 0.66, 1.0])
-    assert [REGION_ORDER[c] for c in codes] == [
-        IntensityRegion.R1, IntensityRegion.R1, IntensityRegion.R2, IntensityRegion.R2,
-        IntensityRegion.R3, IntensityRegion.R3]
+    assert [REGION_ORDER[c] for c in codes] == ["R1", "R1", "R2", "R2", "R3", "R3"]
     with pytest.raises(ValueError, match="r_iqr 1.01 outside"):
         bin_intensity([0.5, 1.01])
     with pytest.raises(ValueError, match="r_iqr -0.01 outside"):
@@ -187,16 +183,13 @@ def test_render_markdown_deterministic():
 
 
 def test_render_markdown_thousands_separators():
-    from vadsphere.analysis import AnalysisCell, AnalysisReport, NeutralSummary
-    theta, phi = _octant_angles("I")
+    from vadsphere.analysis import AnalysisCell, AnalysisReport
     cells = {}
     for region_tag, count in (("R1", 611), ("R2", 2558), ("R3", 480)):
         cells[("angry", "I", region_tag)] = AnalysisCell(
-            emotion="angry", octant=StyleOctant.I,
-            region=IntensityRegion(region_tag), count=count,
-            pitch_mean=66.5, energy_mean=6.0, duration_mean=4.1)
+            count=count, pitch_mean=66.5, energy_mean=6.0, duration_mean=4.1)
     report = AnalysisReport(cells=cells, rc={}, avg={},
-                            neutral=NeutralSummary(0, None, None, None),
+                            neutral=AnalysisCell(0, None, None, None),
                             neutral_label="neutral", emotion_order=("angry",))
     text = render_report(report, "markdown")
     assert "| angry | I | 611 | 2,558 | 480 | 3,649 |" in text
@@ -261,7 +254,7 @@ def _report_reference(rows, prosody):
             continue
         direction = (math.sin(theta) * math.sin(phi), math.sin(theta) * math.cos(phi),
                      math.cos(theta))
-        octant = StyleOctant.from_signs(tuple(1 if x >= 0.0 else -1 for x in direction))
+        octant = StyleOctant(tuple(1 if x >= 0.0 else -1 for x in direction))
         region = "R1" if r_iqr < 0.33 else "R2" if r_iqr < 0.66 else "R3"
         cell = cells.setdefault((emotion, octant.tag, region), [0, {f: [] for f in FEATURES}])
         cell[0] += 1

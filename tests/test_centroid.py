@@ -71,13 +71,11 @@ def test_solver_identical_sets_degenerate():
 def test_solver_stays_in_cube_and_is_deterministic():
     rng = np.random.default_rng(23)
     targets, neutrals = random_solver_instance(rng, n=80)
-    a = solve_centroid(targets, neutrals, SolverConfig(), emotion="x")
-    b = solve_centroid(targets, neutrals, SolverConfig(), emotion="x")
+    a = solve_centroid(targets, neutrals, SolverConfig())
+    b = solve_centroid(targets, neutrals, SolverConfig())
     assert a.point == b.point  # bit-identical
     assert a.objective == b.objective
     assert all(0.0 <= c <= 1.0 for c in a.point)
-    assert a.emotion == "x"
-    assert a.mode == "emotion-adaptive"
 
 
 def test_solver_beats_every_start():

@@ -188,6 +188,26 @@ def test_extract_bad_model_names_file_and_key(tmp_path, manifest_file, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("entry, key, value, message", [
+    ("centroids", "point", [True, 0.5, 0.5], "point must be an array of numbers"),
+    ("centroids", "objective", "abc", "objective must be a number"),
+    ("bounds", "q1", True, "q1 must be a number"),
+])
+def test_extract_model_field_types_name_key(tmp_path, manifest_file, capsys,
+                                            entry, key, value, message):
+    model = tmp_path / "model.json"
+    assert run(["fit", "--manifest", str(manifest_file), "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    doc[entry]["happy"][key] = value
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "easv.jsonl"
+    capsys.readouterr()
+    assert run(["extract", "--manifest", str(manifest_file),
+                "--model", str(model), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {model}: {entry}['happy']: {message}\n"
+    assert not out.exists()
+
+
 def test_analyze_diagnostic_names_offending_id(tmp_path, manifest_file, capsys):
     model = tmp_path / "model.json"
     easv = tmp_path / "easv.jsonl"
@@ -384,18 +404,22 @@ def test_svas_point_on_center_names_file_and_line(tmp_path, capsys, bad_side, ba
         "with the center, angle undefined\n")
 
 
-@pytest.mark.parametrize("bad_flag, bad_line", [("--emb-a", 3), ("--emb-b", 4)])
+@pytest.mark.parametrize("bad_flag, bad_line", [("--emb-a", 3), ("--emb-b", 4),
+                                               ("--speaker-emb", 3), ("--emotion-emb", 4)])
 def test_metrics_zero_norm_embedding_names_file_and_line(tmp_path, capsys, bad_flag, bad_line):
-    lines = {"--emb-a": ["1 0", "", "0 1", "1 1"], "--emb-b": ["1 0", "", "0 1", "1 1"]}
+    if bad_flag in ("--emb-a", "--emb-b"):
+        flags = ("--emb-a", "--emb-b")
+        message = "cosine similarity undefined for a zero-norm vector"
+    else:
+        flags = ("--speaker-emb", "--emotion-emb")
+        message = "zero-norm row in embedding batch"
+    lines = {flag: ["1 0", "", "0 1", "1 1"] for flag in flags}
     lines[bad_flag][bad_line - 1] = "0 0"
     paths = {flag: tmp_path / f"{flag[2:]}.txt" for flag in lines}
     for flag, path in paths.items():
         path.write_text("\n".join(lines[flag]) + "\n")
-    assert run(["metrics", "--emb-a", str(paths["--emb-a"]),
-                "--emb-b", str(paths["--emb-b"])]) == 1
-    assert capsys.readouterr().err == (
-        f"error: {paths[bad_flag]}: line {bad_line}: cosine similarity undefined for a "
-        "zero-norm vector\n")
+    assert run(["metrics", flags[0], str(paths[flags[0]]), flags[1], str(paths[flags[1]])]) == 1
+    assert capsys.readouterr().err == f"error: {paths[bad_flag]}: line {bad_line}: {message}\n"
 
 
 def test_metrics_embeddings_labels(tmp_path, capsys):
@@ -452,6 +476,87 @@ def test_metrics_tracks(tmp_path, capsys):
     path_b.write_text("\n".join(lines) + "\n")
     assert run(["metrics", "--track-a", str(path_a), "--track-b", str(path_b)]) == 1
     assert f"{path_b}: line {len(lines)}: non-numeric field" in capsys.readouterr().err
+
+
+def test_metrics_tracks_with_different_frame_steps_exit_1(tmp_path, capsys):
+    paths = {}
+    for name, hop, sample_rate in (("a", 256, 16000), ("b", 160, 22050)):
+        paths[name] = tmp_path / f"{name}.track"
+        paths[name].write_text(f"# hop={hop}\n# sample_rate={sample_rate}\n"
+                               "0 100.0 1 0.9\n1 110.0 1 0.8\n")
+    assert run(["metrics", "--track-a", str(paths["a"]), "--track-b", str(paths["b"])]) == 1
+    assert capsys.readouterr().err == ("error: frame step mismatch: hop 256 at 16000 Hz "
+                                       "vs hop 160 at 22050 Hz\n")
+    # the same step in other units is no mismatch
+    paths["b"].write_text("# hop=512\n# sample_rate=32000\n0 100.0 1 0.9\n1 110.0 1 0.8\n")
+    assert run(["metrics", "--track-a", str(paths["a"]), "--track-b", str(paths["b"])]) == 0
+
+
+def test_neutral_label_flag_matches_a_relabelled_run(tmp_path, manifest_file):
+    texts = {"neutral": manifest_file.read_text()}
+    texts["calm"] = texts["neutral"].replace('"emotion": "neutral"', '"emotion": "calm"')
+    assert texts["calm"] != texts["neutral"]
+    synth, ref = tmp_path / "synth.txt", tmp_path / "ref.txt"
+    synth.write_text("0.8 0.7 0.6\n0.2 0.3 0.4\n")
+    ref.write_text("0.9 0.8 0.7\n0.1 0.6 0.4\n")
+    outputs = {}
+    for label, text in texts.items():
+        d = tmp_path / label
+        d.mkdir()
+        manifest = d / "manifest.jsonl"
+        manifest.write_text(text)
+        rows = [json.loads(line) for line in text.splitlines()]
+        (d / "prosody.jsonl").write_text("".join(json.dumps(
+            {"id": row["id"], "pitch_mean_hz": 100.0 + i, "energy_mean": 0.1 * (i % 7),
+             "duration_s": 1.0 + 0.01 * i}) + "\n" for i, row in enumerate(rows)))
+        label_flag = ["--neutral-label", label]
+        m = ["--manifest", str(manifest)]
+        for name, args in (
+                ("model.json", ["fit", *m, *label_flag]),
+                ("easv.jsonl", ["extract", *m, "--model", str(d / "model.json")]),
+                ("svas.tsv", ["svas", "--synth", str(synth), "--ref", str(ref), *m, *label_flag]),
+                ("report.md", ["analyze", "--easv", str(d / "easv.jsonl"), "--prosody",
+                               str(d / "prosody.jsonl"), *m, *label_flag]),
+                ("report.csv", ["analyze", "--easv", str(d / "easv.jsonl"), "--prosody",
+                                str(d / "prosody.jsonl"), *m, *label_flag, "--format", "csv"])):
+            assert run([*args, "--out", str(d / name)]) == 0
+        outputs[label] = {name: (d / name).read_text()
+                          for name in ("model.json", "easv.jsonl", "svas.tsv", "report.md",
+                                       "report.csv")}
+    assert "calm" in outputs["calm"]["report.md"]
+    for name, text in outputs["calm"].items():
+        assert text.replace("calm", "neutral") == outputs["neutral"][name], name
+
+
+def test_prosody_f0_flags_reach_the_config(tmp_path, capsys):
+    from vadsphere import F0Config, read_wav, utterance_prosody
+    wav = tmp_path / "a.wav"
+    write_wav(wav, sine_samples(180, 0.8, sr=16000), 16000)
+    wav_list = tmp_path / "wavs.txt"
+    wav_list.write_text(f"{wav}\n")
+    stats = utterance_prosody(read_wav(wav), F0Config(80, 400, 800, 200, 0.2))
+    expected = json.dumps({"id": str(wav), "pitch_mean_hz": stats.pitch_mean_hz,
+                           "energy_mean": stats.energy_mean, "duration_s": stats.duration_s})
+    assert run(["prosody", "--wav-list", str(wav_list), "--f-min", "80", "--f-max", "400",
+                "--threshold", "0.2", "--window", "800", "--hop", "200"]) == 0
+    assert capsys.readouterr().out == expected + "\n"
+    assert run(["prosody", "--wav-list", str(wav_list)]) == 0  # the defaults differ
+    assert capsys.readouterr().out != expected + "\n"
+
+
+def test_fit_denominator_epsilon_flag(tmp_path, manifest_file):
+    from vadsphere import objective
+    model = tmp_path / "model.json"
+    assert run(["fit", "--manifest", str(manifest_file), "--denominator-epsilon", "0.001",
+                "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    assert doc["solver"] == {"denominator_epsilon": 0.001}
+    manifest = vadsphere.parse_manifest(manifest_file)
+    neutrals = [r.vad for r in manifest.neutral_records()]
+    assert sorted(doc["centroids"]) == ["angry", "happy", "sad"]
+    for emotion, entry in doc["centroids"].items():
+        targets = [r.vad for r in manifest.class_records(emotion)]
+        assert entry["objective"] == objective(entry["point"], targets, neutrals, 0.001)
 
 
 def test_metrics_requires_some_input(capsys):
@@ -625,6 +730,9 @@ def test_analyze_reads_numeric_prosody_ids_as_text(tmp_path, capsys):
     ("emotion", None, "emotion must be a string or number"),
     ("emotion", {"a": 1}, "emotion must be a string or number"),
     ("emotion", True, "emotion must be a string or number"),
+    ("emo_embedding", ["1.5", True], "emo_embedding must be an array of numbers"),
+    ("spk_embedding", [0.5, True], "spk_embedding must be an array of numbers"),
+    ("audio_path", [1, 2], "audio_path must be a string"),
 ])
 def test_manifest_field_errors_name_line(tmp_path, capsys, field, value, message):
     records = [{"id": "a", "speaker": "s", "emotion": "neutral", "vad": [0.5, 0.5, 0.5]},

@@ -21,7 +21,13 @@ from vadsphere.geometry import OCTANT_ORDER
 def test_neutral_center_symmetry():
     c = neutral_center([VadPoint(0, 0, 0), VadPoint(1, 1, 1)])
     assert c.point == (0.5, 0.5, 0.5)
-    assert c.mode == "neutral-mean"
+    assert c.objective is None
+
+
+def test_centroid_objective_is_keyword_only():
+    assert Centroid((0.5, 0.5, 0.5), objective=2.0).objective == 2.0
+    with pytest.raises(TypeError):
+        Centroid((0.5, 0.5, 0.5), "neutral-mean")
 
 
 def test_neutral_center_singleton():
@@ -40,25 +46,25 @@ def test_neutral_center_empty():
 
 
 def test_shift_zero():
-    c = Centroid((0.5, 0.5, 0.5), "neutral-mean")
+    c = Centroid((0.5, 0.5, 0.5))
     assert shift(VadPoint(0.5, 0.5, 0.5), c).tolist() == [[0.0, 0.0, 0.0]]
 
 
 def test_shift_identity():
-    c = Centroid((0.0, 0.0, 0.0), "neutral-mean")
+    c = Centroid((0.0, 0.0, 0.0))
     assert shift([VadPoint(1, 0, 1), VadPoint(0, 1, 0)], c).tolist() == [[1.0, 0.0, 1.0],
                                                                          [0.0, 1.0, 0.0]]
 
 
 def test_shift_arithmetic():
-    c = Centroid((0.5, 0.5, 0.5), "neutral-mean")
+    c = Centroid((0.5, 0.5, 0.5))
     s = shift(np.array([[0.2, 0.9, 0.4]]), c)
     assert s.shape == (1, 3)
     assert s[0] == pytest.approx((-0.3, 0.4, -0.1))
 
 
 def test_shift_rejects_other_shapes():
-    c = Centroid((0.5, 0.5, 0.5), "neutral-mean")
+    c = Centroid((0.5, 0.5, 0.5))
     with pytest.raises(ValueError, match=r"expected \(n, 3\) points"):
         shift(np.zeros((4, 2)), c)
 
@@ -113,7 +119,7 @@ def test_octant_bijection_matches_sign_table():
     }
     for tag, signs in expected.items():
         assert StyleOctant[tag].signs == signs
-        assert StyleOctant.from_signs(signs) is StyleOctant[tag]
+        assert StyleOctant(signs) is StyleOctant[tag]
 
 
 def test_octant_from_tag_validates():

@@ -17,18 +17,12 @@ from vadsphere import (
 from vadsphere.manifest import RowError
 
 
-CENTER = Centroid((0.5, 0.5, 0.5), "neutral-mean")
+CENTER = Centroid((0.5, 0.5, 0.5))
 
 
 def test_svas_self_similarity():
     p = VadPoint(0.8, 0.7, 0.6)
     assert svas([p], [p], CENTER) == pytest.approx([1.0], abs=1e-12)
-
-
-def test_svas_requires_neutral_mean_center():
-    adaptive = Centroid((0.5, 0.5, 0.5), "emotion-adaptive", emotion="happy")
-    with pytest.raises(ValueError, match="neutral-mean"):
-        svas([VadPoint(0.8, 0.7, 0.6)], [VadPoint(0.7, 0.6, 0.5)], adaptive)
 
 
 def test_svas_degenerate_radius():

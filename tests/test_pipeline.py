@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from vadsphere import (
     Centroid,
-    ControlSpec,
     EasvModel,
     IqrBounds,
     SolverConfig,
@@ -119,7 +118,7 @@ def test_intensity_labels():
 
 
 def test_control_vector_octant_one():
-    easv = make_control_vector(ControlSpec("happy", StyleOctant.I, 0.5))
+    easv = make_control_vector("happy", StyleOctant.I, 0.5)
     assert len(easv) == 1 and easv.ids == ("",)
     assert easv.r_iqr[0] == 0.5
     assert easv.theta[0] == pytest.approx(math.acos(1.0 / math.sqrt(3.0)), abs=1e-12)
@@ -128,15 +127,15 @@ def test_control_vector_octant_one():
 
 
 def test_control_vector_octant_seven():
-    easv = make_control_vector(ControlSpec("sad", StyleOctant.VII, 0.0))
+    easv = make_control_vector("sad", StyleOctant.VII, 0.0)
     assert easv.r_iqr[0] == 0.0
     assert easv.theta[0] == pytest.approx(math.acos(-1.0 / math.sqrt(3.0)), abs=1e-12)
     assert easv.phi[0] == pytest.approx(-3.0 * math.pi / 4, abs=1e-12)
 
 
-def test_control_spec_validation():
-    with pytest.raises(ValueError):
-        ControlSpec("happy", StyleOctant.I, 1.5)
+def test_control_vector_intensity_validation():
+    with pytest.raises(ValueError, match="r_iqr 1.5 outside"):
+        make_control_vector("happy", StyleOctant.I, 1.5)
 
 
 def _toy_manifest(n_happy=6, with_neutral=True):
@@ -158,7 +157,6 @@ def test_fit_structure_two_classes():
     assert set(model.centroids) == {"happy"}
     assert set(model.bounds) == {"happy"}
     assert model.neutral_label == "neutral"
-    assert model.centroids["happy"].emotion == "happy"
 
 
 def test_fit_requires_neutral():
@@ -201,8 +199,7 @@ def test_extract_neutral_is_exact_zero():
 
 
 def test_extract_worked_example():
-    centroid = Centroid((0.5, 0.4, 0.6), "emotion-adaptive", emotion="happy",
-                        objective=2.0)
+    centroid = Centroid((0.5, 0.4, 0.6), objective=2.0)
     bounds = IqrBounds(q1=2.0, q3=4.0, r_min=-1.0, r_max=7.0)
     model = EasvModel(centroids={"happy": centroid}, bounds={"happy": bounds},
                       neutral_label="neutral")
@@ -276,10 +273,7 @@ def test_easv_jsonl_round_trip():
 
 
 def test_easv_model_validation():
-    centroid = Centroid((0.5, 0.5, 0.5), "emotion-adaptive", emotion="happy")
+    centroid = Centroid((0.5, 0.5, 0.5))
     bounds = IqrBounds(q1=0.1, q3=0.2, r_min=0.0, r_max=0.4)
     with pytest.raises(ValueError, match="same emotions"):
         EasvModel(centroids={"happy": centroid}, bounds={}, neutral_label="neutral")
-    with pytest.raises(ValueError, match="labeled"):
-        EasvModel(centroids={"sad": centroid}, bounds={"sad": bounds},
-                  neutral_label="neutral")
