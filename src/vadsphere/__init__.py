@@ -35,7 +35,6 @@ from .manifest import (
     serialize_manifest,
 )
 from .metrics import (
-    angle_cosine,
     eca,
     eecs,
     orthogonality_loss,
@@ -85,7 +84,6 @@ __all__ = [
     "UtteranceRecord",
     "VadPoint",
     "align_tracks",
-    "angle_cosine",
     "bin_intensity",
     "build_report",
     "eca",

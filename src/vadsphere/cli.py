@@ -29,6 +29,7 @@ from .geometry import AXES, Centroid, StyleOctant, neutral_center
 from .manifest import (
     RowError,
     first_fault,
+    json_object,
     label_field,
     line_error,
     number_field,
@@ -223,8 +224,6 @@ def _cmd_control_vec(args) -> tuple[str, str | None]:
 def _cmd_svas(args) -> tuple[str, str | None]:
     synth_lines, synth = _parse_file(args.synth, _parse_vad_points)
     ref_lines, ref = _parse_file(args.ref, _parse_vad_points)
-    if len(synth) != len(ref):
-        raise ValueError(f"length mismatch: {len(synth)} synth vs {len(ref)} ref points")
     if args.center is not None:
         try:
             parts = [float(x) for x in args.center.split(",")]
@@ -233,14 +232,12 @@ def _cmd_svas(args) -> tuple[str, str | None]:
         if len(parts) != 3:
             raise ValueError(f"--center expects 'v,a,d', got {args.center!r}")
         center = Centroid(point=tuple(parts))
-    elif args.manifest is not None:
+    else:
         manifest = _parse_file(args.manifest, parse_manifest, args.neutral_label)
         neutrals = [r.vad for r in manifest.neutral_records()]
         if not neutrals:
             raise ValueError("no neutral records in manifest to derive a center from")
         center = neutral_center(neutrals)
-    else:
-        raise ValueError("svas needs --manifest or --center as the neutral-center source")
     try:
         scores = svas(synth, ref, center)
     except RowError as exc:
@@ -296,8 +293,6 @@ def _cmd_prosody(args) -> tuple[str, str | None]:
     cfg = _f0_config(args)
     if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
-    if (args.manifest is None) == (args.wav_list is None):
-        raise ValueError("prosody needs exactly one of --manifest or --wav-list")
     source = args.manifest if args.manifest is not None else args.wav_list
     if args.manifest is not None:
         manifest = _parse_file(args.manifest, parse_manifest)
@@ -317,31 +312,19 @@ def _cmd_prosody(args) -> tuple[str, str | None]:
         except (OSError, ValueError) as exc:
             raise ValueError(f"{source}: {path}: {exc}") from exc
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            computed = list(pool.map(work, jobs_input))
-    else:
-        computed = [work(item) for item in jobs_input]
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        computed = list(pool.map(work, jobs_input))
     lines = [_stats_line(rec_id, stats) for rec_id, stats in computed]
     return "\n".join(lines) + "\n", args.out
 
 
 def _parse_prosody_line(line: str) -> tuple[str, ProsodyStats]:
-    try:
-        obj = json.loads(line)
-        rec_id, pitch = obj["id"], obj["pitch_mean_hz"]
-        stats = ProsodyStats(
-            pitch_mean_hz=None if pitch is None else number_field(obj, "pitch_mean_hz"),
-            energy_mean=number_field(obj, "energy_mean"),
-            duration_s=number_field(obj, "duration_s"),
-        )
-    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
-        raise ValueError(f"bad prosody record ({exc})") from exc
+    obj = json_object(line, "prosody record")
     rec_id = label_field(obj, "id")  # text, as manifest and EASV ids are
-    if not all(math.isfinite(v) for v in (stats.pitch_mean_hz, stats.energy_mean,
-                                          stats.duration_s) if v is not None):
-        raise ValueError("non-finite value")
-    return rec_id, stats
+    pitch = obj["pitch_mean_hz"]
+    return rec_id, ProsodyStats(
+        pitch_mean_hz=None if pitch is None else number_field(obj, "pitch_mean_hz"),
+        energy_mean=number_field(obj, "energy_mean"), duration_s=number_field(obj, "duration_s"))
 
 
 def _cmd_analyze(args) -> tuple[str, str | None]:
@@ -430,9 +413,9 @@ def build_parser() -> _Parser:
                        help="angle similarity between paired VAD files about a neutral center")
     p.add_argument("--synth", required=True, help="synthesized VAD file, 'v a d' per line")
     p.add_argument("--ref", required=True, help="reference VAD file, 'v a d' per line")
-    p.add_argument("--manifest", default=None,
-                   help="manifest whose neutral records define the center")
-    p.add_argument("--center", default=None, help="explicit center as 'v,a,d'")
+    center = p.add_mutually_exclusive_group(required=True)
+    center.add_argument("--manifest", help="manifest whose neutral records define the center")
+    center.add_argument("--center", help="explicit center as 'v,a,d'")
     p.add_argument("--neutral-label", default="neutral")
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_svas)
@@ -454,9 +437,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("prosody", formatter_class=fmt,
                        help="per-utterance pitch/energy/duration stats from WAV files")
-    p.add_argument("--manifest", default=None,
-                   help="manifest with audio_path entries (ids key the output)")
-    p.add_argument("--wav-list", default=None, help="file with one wav path per line")
+    audio = p.add_mutually_exclusive_group(required=True)
+    audio.add_argument("--manifest", help="manifest with audio_path entries (ids key the output)")
+    audio.add_argument("--wav-list", help="file with one wav path per line")
     p.add_argument("--jobs", type=int, default=1, help="worker threads for per-utterance work")
     p.add_argument("--out", default=None)
     _add_f0_flags(p)

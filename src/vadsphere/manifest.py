@@ -2,16 +2,23 @@
 
 Every line-oriented input format is read through ``parse_lines``: blank and
 whitespace-only lines are skipped, lines are numbered from 1, and a fault
-in one line is a ValueError reading ``line N: <message>``. ``unique_ids``
-rejects an id seen twice, naming both lines.
+in one line is a ValueError reading ``line N: <message>``, or ``line N:
+missing key 'k'`` for a KeyError. ``unique_ids`` rejects an id seen twice,
+naming both lines.
+
+Every JSON input (manifest, EASV and prosody lines, model files) is decoded
+by ``json_object`` and read through ``label_field``, ``number_field`` and
+``number_list``. A number is a JSON number that fits a float and is finite:
+``"1.5"`` and ``true`` read ``<key> must be a number``; ``NaN``,
+``Infinity``, ``1e400`` and a 401-digit integer read ``<key> must be a
+finite number``.
 
 Manifests are UTF-8 text with one JSON object per line. Required keys:
 ``id``, ``speaker``, ``emotion`` (each a string, or a number read as
 text), ``vad`` (3-element array in [0, 1]). Optional keys:
 ``audio_path`` (a string), ``emo_embedding``, ``spk_embedding`` (non-empty
-arrays). Numbers are JSON numbers: ``"1.5"`` and ``true`` are not. Unknown
-keys are ignored. Records are kept sorted by id so downstream aggregation is
-deterministic.
+arrays). Unknown keys are ignored. Records are kept sorted by id so
+downstream aggregation is deterministic.
 
 WAV support is deliberately narrow: RIFF little-endian, 16-bit signed PCM,
 mono or multichannel (downmixed by channel mean). No resampling, no
@@ -33,11 +40,9 @@ import numpy as np
 
 from .geometry import VadPoint
 
-REQUIRED_KEYS = ("id", "speaker", "emotion", "vad")
-
 INT16_SCALE = 32768.0
 
-# What json.loads makes of a JSON number; compared by type(), as bool is an int
+# What the JSON decoder makes of a JSON number; compared by type(), as bool is an int
 _JSON_NUMBER = frozenset((int, float))
 
 
@@ -126,7 +131,8 @@ def _coerce_text(source) -> str:
 
 def parse_lines(text: str, parse_line) -> list[tuple[int, object]]:
     """(line number, parse_line(line)) for each non-blank line, numbered from 1;
-    a ValueError from parse_line is raised again as `line N: <message>`."""
+    a ValueError from parse_line is raised again as `line N: <message>`, and a
+    KeyError as `line N: missing key 'k'`."""
     numbered = []
     collecting = gc.isenabled()
     gc.disable()  # a parse keeps all it builds: collections here would free nothing
@@ -137,6 +143,8 @@ def parse_lines(text: str, parse_line) -> list[tuple[int, object]]:
                     numbered.append((line_no, parse_line(line)))
                 except ValueError as exc:
                     raise line_error(line_no, exc) from exc
+                except KeyError as exc:
+                    raise line_error(line_no, f"missing key {exc}") from exc
     finally:
         if collecting:
             gc.enable()
@@ -173,6 +181,22 @@ def unique_ids(numbered: list[tuple[int, tuple]]) -> dict:
     return out
 
 
+def json_object(text: str, what: str) -> dict:
+    """text decoded as JSON, which must be an object; `what` names it in a fault."""
+    try:
+        value = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad JSON, too deep, or an int of 4300+ digits
+        raise ValueError(f"malformed {what}: {getattr(exc, 'msg', exc)}") from None
+    return object_value(value, what)
+
+
+def object_value(value, what: str) -> dict:
+    """value, a decoded JSON value, which must be an object."""
+    if type(value) is not dict:
+        raise ValueError(f"{what} must be a JSON object")
+    return value
+
+
 def label_field(obj: dict, key: str) -> str:
     """obj[key] as text: a JSON string or number; null, true, [] or {} is no label."""
     value = obj[key]
@@ -182,11 +206,16 @@ def label_field(obj: dict, key: str) -> str:
 
 
 def number_field(obj: dict, key: str) -> float:
-    """obj[key] as a float: a JSON number; true, "1.5" or null is no number."""
+    """obj[key] as a float: a finite JSON number; true, "1.5" or null is no number."""
     value = obj[key]
     if type(value) not in _JSON_NUMBER:
         raise ValueError(f"{key} must be a number")
-    return float(value)
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ValueError(f"{key} must be a finite number")
 
 
 def number_list(obj: dict, key: str) -> list[float]:
@@ -194,39 +223,28 @@ def number_list(obj: dict, key: str) -> list[float]:
     values = obj[key]
     if type(values) is not list or not _JSON_NUMBER.issuperset(map(type, values)):
         raise ValueError(f"{key} must be an array of numbers")
-    return list(map(float, values))
+    try:
+        floats = list(map(float, values))
+        if all(map(math.isfinite, floats)):
+            return floats
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ValueError(f"{key} must be a finite number")
 
 
 def _parse_vad(obj: dict) -> VadPoint:
     values = number_list(obj, "vad")
     if len(values) != 3:
         raise ValueError("vad must be a 3-element array")
-    if not all(0.0 <= value <= 1.0 for value in values):
-        raise ValueError("vad out of range")
     return VadPoint(*values)
 
 
 def _parse_embedding(obj: dict, key: str) -> tuple[float, ...] | None:
-    if obj.get(key) is None:
-        return None
-    values = number_list(obj, key)
-    if not values:
-        raise ValueError(f"{key} must be a non-empty array")
-    if not all(math.isfinite(x) for x in values):
-        raise ValueError(f"{key} must contain only finite numbers")
-    return tuple(values)
+    return None if obj.get(key) is None else tuple(number_list(obj, key))
 
 
 def _parse_record(line: str) -> tuple[str, UtteranceRecord]:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed record: {exc.msg}") from exc
-    if not isinstance(obj, dict):
-        raise ValueError("record must be a key/value object")
-    for key in REQUIRED_KEYS:
-        if key not in obj:
-            raise ValueError(f"missing required key '{key}'")
+    obj = json_object(line, "record")
     audio_path = obj.get("audio_path")
     if audio_path is not None and type(audio_path) is not str:
         raise ValueError("audio_path must be a string")

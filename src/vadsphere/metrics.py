@@ -37,11 +37,6 @@ def _row_cosines(a, b) -> np.ndarray:
     return _row_dots(a, b) / (norms[:, 0] * norms[:, 1])
 
 
-def angle_cosine(a, b) -> np.ndarray:
-    """Cosine similarity of each row pair of two (n, 2) arrays of (theta, phi)."""
-    return _row_cosines(a, b)
-
-
 def svas(synth_vad, ref_vad, neutral_center: Centroid) -> np.ndarray:
     """Spherical vector angle similarity of each synth/ref point pair about a
     fixed neutral center.

@@ -28,10 +28,12 @@ from .manifest import (
     DatasetManifest,
     RowError,
     first_fault,
+    json_object,
     label_field,
     line_error,
     number_field,
     number_list,
+    object_value,
     parse_lines,
     unique_ids,
 )
@@ -270,8 +272,8 @@ def model_to_json(model: EasvModel, cfg: SolverConfig | None = None) -> str:
 
 def model_from_json(text: str) -> EasvModel:
     """Parse a model document; a malformed one is a ValueError naming the key."""
-    doc = json.loads(text)
-    fmt = doc.get("format") if isinstance(doc, dict) else None
+    doc = json_object(text, "EASV model")
+    fmt = doc.get("format")
     if fmt != MODEL_FORMAT:
         raise ValueError(f"not an EASV model document (format={fmt!r})")
     where = ""  # the entry being read, as a message prefix
@@ -279,26 +281,26 @@ def model_from_json(text: str) -> EasvModel:
         neutral_label = doc["neutral_label"]
         if not isinstance(neutral_label, str):
             raise ValueError(f"neutral_label {neutral_label!r} is not a string")
-        centroid_entries, bound_entries = doc["centroids"], doc["bounds"]
-        if not (isinstance(centroid_entries, dict) and isinstance(bound_entries, dict)):
-            raise ValueError("centroids and bounds must be objects")
+        centroid_entries = object_value(doc["centroids"], "centroids")
+        bound_entries = object_value(doc["bounds"], "bounds")
         centroids = {}
         for emotion, entry in centroid_entries.items():
             where = f"centroids[{emotion!r}]: "
-            objective = entry.get("objective")
+            objective = object_value(entry, "entry").get("objective")
             centroids[emotion] = Centroid(
                 point=tuple(number_list(entry, "point")),
                 objective=None if objective is None else number_field(entry, "objective"))
         bounds = {}
         for emotion, entry in bound_entries.items():
             where = f"bounds[{emotion!r}]: "
+            object_value(entry, "entry")
             bounds[emotion] = IqrBounds(*(number_field(entry, key)
                                           for key in ("q1", "q3", "r_min", "r_max")))
         where = ""
         return EasvModel(centroids=centroids, bounds=bounds, neutral_label=neutral_label)
     except KeyError as exc:
         raise ValueError(f"{where}missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{where}{exc}") from None
 
 
@@ -313,18 +315,10 @@ def easv_set_to_jsonl(easvs: EasvSet) -> str:
 
 
 def _parse_easv_line(line: str) -> tuple[str, tuple]:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed EASV record: {exc.msg}") from exc
-    try:
-        return label_field(obj, "id"), (
-            label_field(obj, "emotion"), number_field(obj, "r_iqr"),
-            number_field(obj, "theta"), number_field(obj, "phi"))
-    except KeyError as exc:
-        raise ValueError(f"bad EASV record (missing key {exc})") from exc
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"bad EASV record ({exc})") from exc
+    obj = json_object(line, "EASV record")
+    return label_field(obj, "id"), (
+        label_field(obj, "emotion"), number_field(obj, "r_iqr"),
+        number_field(obj, "theta"), number_field(obj, "phi"))
 
 
 def easv_set_from_jsonl(text: str) -> EasvSet:
@@ -333,4 +327,4 @@ def easv_set_from_jsonl(text: str) -> EasvSet:
     try:
         return EasvSet.from_rows(unique_ids(numbered))
     except RowError as exc:
-        raise line_error(numbered[exc.row][0], f"bad EASV record ({exc})") from exc
+        raise line_error(numbered[exc.row][0], exc) from exc

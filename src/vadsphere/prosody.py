@@ -37,9 +37,9 @@ class F0Config:
     aperiodicity_threshold: float = 0.15
 
     def __post_init__(self) -> None:
-        if self.f_min < 50.0:
+        if not self.f_min >= 50.0:  # written so that NaN fails too
             raise ValueError("f_min must be >= 50 Hz")
-        if self.f_max <= self.f_min:
+        if not self.f_max > self.f_min:
             raise ValueError("f_max must exceed f_min")
         if self.window < 2 or self.hop < 1 or self.hop > self.window:
             raise ValueError("need window >= hop >= 1")

@@ -15,7 +15,7 @@ from vadsphere import (
     AudioBuffer,
     SolverConfig,
     VadPoint,
-    angle_cosine,
+    eecs,
     estimate_f0,
     f1_vuv,
     grid_search_centroid,
@@ -151,7 +151,7 @@ def test_svas_checks():
         center = Centroid((0.5, 0.5, 0.5))
         p = VadPoint(0.8, 0.7, 0.6)
         assert abs(svas([p], [p], center)[0] - 1.0) < 1e-12
-        value = angle_cosine([[1.0, 1.0]], [[1.0, 0.0]])[0]
+        value = eecs([[1.0, 1.0]], [[1.0, 0.0]])[0]  # the cosine of two angle vectors
         assert value == pytest.approx(0.7071, abs=1e-4)
 
 

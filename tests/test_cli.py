@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import stat
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import vadsphere
 from vadsphere import DatasetManifest, serialize_manifest
@@ -92,7 +96,7 @@ def test_analyze_missing_prosody_exits_1_without_writing(tmp_path, manifest_file
     code = run(["analyze", "--easv", str(easv), "--prosody", str(prosody),
                 "--manifest", str(manifest_file), "--out", str(out)])
     assert code == 1
-    assert f"{prosody}: line 2: non-finite value" in capsys.readouterr().err
+    assert f"{prosody}: line 2: energy_mean must be a finite number" in capsys.readouterr().err
     assert not out.exists()
 
     lines[1] = lines[1].replace("NaN", '"abc"')
@@ -100,7 +104,7 @@ def test_analyze_missing_prosody_exits_1_without_writing(tmp_path, manifest_file
     code = run(["analyze", "--easv", str(easv), "--prosody", str(prosody),
                 "--manifest", str(manifest_file), "--out", str(out)])
     assert code == 1
-    assert f"{prosody}: line 2: bad prosody record" in capsys.readouterr().err
+    assert f"{prosody}: line 2: energy_mean must be a number" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -117,32 +121,32 @@ def test_analyze_bad_easv_names_file_and_line(tmp_path, manifest_file, capsys):
                     "energy_mean": 0.1, "duration_s": 1.0}) + "\n" for line in good))
     out = tmp_path / "report.md"
     second = json.loads(good[1])
-    for bad_line, detail in (("[1,2]", "list indices"),
+    for bad_line, detail in (("[1,2]", "EASV record must be a JSON object"),
                              (json.dumps({**second, "r_iqr": None}), "r_iqr must be a number"),
                              (json.dumps({**second, "theta": float("nan")}),
-                              "theta nan outside [0, pi]"),
+                              "theta must be a finite number"),
+                             (json.dumps({**second, "theta": 4.0}), "theta 4.0 outside [0, pi]"),
                              (json.dumps({k: v for k, v in second.items() if k != "phi"}),
                               "missing key 'phi'")):
         easv.write_text("\n".join([good[0], bad_line, *good[2:]]) + "\n")
         capsys.readouterr()
         assert run(["analyze", "--easv", str(easv), "--prosody", str(prosody),
                     "--manifest", str(manifest_file), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert f"error: {easv}: line 2: bad EASV record (" in err
-        assert detail in err
+        assert capsys.readouterr().err == f"error: {easv}: line 2: {detail}\n"
         assert not out.exists()
 
 
 @pytest.mark.parametrize("kind, field, value, message", [
-    ("easv", "id", None, "bad EASV record (id must be a string or number)"),
-    ("easv", "emotion", [], "bad EASV record (emotion must be a string or number)"),
-    ("easv", "r_iqr", True, "bad EASV record (r_iqr must be a number)"),
-    ("easv", "theta", "1.5", "bad EASV record (theta must be a number)"),
-    ("easv", "phi", False, "bad EASV record (phi must be a number)"),
-    ("prosody", "energy_mean", True, "bad prosody record (energy_mean must be a number)"),
-    ("prosody", "duration_s", "2", "bad prosody record (duration_s must be a number)"),
-    ("prosody", "pitch_mean_hz", "100", "bad prosody record (pitch_mean_hz must be a number)"),
-])
+    ("easv", "id", None, "id must be a string or number"),
+    ("easv", "emotion", [], "emotion must be a string or number"),
+    ("easv", "r_iqr", True, "r_iqr must be a number"),
+    ("easv", "theta", "1.5", "theta must be a number"),
+    ("easv", "phi", False, "phi must be a number"),
+    ("prosody", "energy_mean", True, "energy_mean must be a number"),
+    ("prosody", "duration_s", "2", "duration_s must be a number"),
+    ("prosody", "pitch_mean_hz", "100", "pitch_mean_hz must be a number"),
+], ids=["easv-id", "easv-emotion", "easv-r_iqr", "easv-theta", "easv-phi",
+        "prosody-energy_mean", "prosody-duration_s", "prosody-pitch_mean_hz"])
 def test_analyze_field_types_name_file_and_line(tmp_path, manifest_file, capsys,
                                                 kind, field, value, message):
     model = tmp_path / "model.json"
@@ -176,9 +180,9 @@ def test_extract_bad_model_names_file_and_key(tmp_path, manifest_file, capsys):
     del no_r_max["bounds"]["sad"]["r_max"]
     bad = tmp_path / "bad.json"
     out = tmp_path / "easv.jsonl"
-    for text, message in (("[1]", "not an EASV model document"),
+    for text, message in (("[1]", "EASV model must be a JSON object"),
                           (json.dumps(no_label), "missing key 'neutral_label'"),
-                          (json.dumps(nan_q1), "bounds['happy']: q1 nan is not finite"),
+                          (json.dumps(nan_q1), "bounds['happy']: q1 must be a finite number"),
                           (json.dumps(no_r_max), "bounds['sad']: missing key 'r_max'")):
         bad.write_text(text)
         capsys.readouterr()
@@ -846,3 +850,185 @@ def test_no_subcommand_loads_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen == [[name, 0, False] for name, _ in commands]
+
+
+def test_svas_center_sources_are_exclusive_and_required(tmp_path, manifest_file, capsys):
+    vad = tmp_path / "vad.txt"
+    vad.write_text("0.8 0.7 0.6\n")
+    svas = ["svas", "--synth", str(vad), "--ref", str(vad)]
+    assert run([*svas, "--center", "0.5,0.5,0.5", "--manifest", str(tmp_path / "absent")]) == 1
+    assert capsys.readouterr().err == (
+        "error: argument --manifest: not allowed with argument --center\n")
+    assert run([*svas, "--manifest", str(manifest_file), "--center", "0.5,0.5,0.5"]) == 1
+    assert "not allowed with argument --manifest" in capsys.readouterr().err
+    assert run(svas) == 1
+    assert capsys.readouterr().err == (
+        "error: one of the arguments --manifest --center is required\n")
+
+
+def test_prosody_audio_sources_are_exclusive_and_required(tmp_path, manifest_file, capsys):
+    wav_list = tmp_path / "wavs.txt"
+    wav_list.write_text("a.wav\n")
+    assert run(["prosody", "--manifest", str(manifest_file), "--wav-list", str(wav_list)]) == 1
+    assert capsys.readouterr().err == (
+        "error: argument --wav-list: not allowed with argument --manifest\n")
+    assert run(["prosody"]) == 1
+    assert capsys.readouterr().err == (
+        "error: one of the arguments --manifest --wav-list is required\n")
+
+
+@pytest.mark.parametrize("flag, message", [("--f-min", "f_min must be >= 50 Hz"),
+                                           ("--f-max", "f_max must exceed f_min")])
+def test_prosody_nan_f0_bound_is_a_config_error(tmp_path, capsys, flag, message):
+    wav = tmp_path / "a.wav"
+    write_wav(wav, sine_samples(200.0, 0.4, 16000), 16000)
+    wav_list = tmp_path / "wavs.txt"
+    wav_list.write_text(f"{wav}\n")
+    out = tmp_path / "stats.jsonl"
+    assert run(["prosody", "--wav-list", str(wav_list), flag, "nan", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the JSON readers' object and number rules, through the commands that read
+# each JSON input
+# ---------------------------------------------------------------------------
+
+_SLOT = "@number@"  # a JSON string that _write_edited replaces by a raw literal
+
+
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory) -> dict[str, Path]:
+    """A valid manifest and the model, EASV and prosody files made from it."""
+    d = tmp_path_factory.mktemp("chain")
+    files = {name: d / name for name in ("manifest", "model", "easv", "prosody")}
+    files["manifest"].write_text(serialize_manifest(synthetic_manifest(per_class=6, seed=6)))
+    m = str(files["manifest"])
+    assert run(["fit", "--manifest", m, "--out", str(files["model"])]) == 0
+    assert run(["extract", "--manifest", m, "--model", str(files["model"]),
+                "--out", str(files["easv"])]) == 0
+    files["prosody"].write_text("".join(
+        json.dumps({"id": json.loads(line)["id"], "pitch_mean_hz": 100.0,
+                    "energy_mean": 0.1, "duration_s": 1.0}) + "\n"
+        for line in files["easv"].read_text().splitlines()))
+    return files
+
+
+def _write_edited(chain: dict[str, Path], kind: str, edit, literal: str, path: Path) -> None:
+    """chain[kind] written to `path` with `edit` applied to line 2 (to the whole
+    document of a model) and every _SLOT string replaced by `literal`. `edit`
+    changes the decoded value in place, or returns the value that replaces it."""
+    text = chain[kind].read_text()
+    lines = [text] if kind == "model" else text.splitlines()
+    at = 0 if kind == "model" else 1
+    value = json.loads(lines[at])
+    edited = edit(value)
+    lines[at] = json.dumps(value if edited is None else edited)
+    path.write_text("\n".join(lines).replace(json.dumps(_SLOT), literal) + "\n")
+
+
+def _reading(kind: str, path: Path, chain: dict[str, Path], out: Path) -> list[str]:
+    """The command that reads `path` as its input of `kind`, writing to `out`."""
+    files = {**chain, kind: path}
+    m = str(files["manifest"])
+    if kind == "manifest":
+        return ["fit", "--manifest", m, "--out", str(out)]
+    if kind == "model":
+        return ["extract", "--manifest", m, "--model", str(files["model"]), "--out", str(out)]
+    return ["analyze", "--easv", str(files["easv"]), "--prosody", str(files["prosody"]),
+            "--manifest", m, "--out", str(out)]
+
+
+_NUMBER_FIELDS = {
+    "manifest vad": ("manifest", lambda o: o.update(vad=[0.5, _SLOT, 0.5]), "line 2: vad"),
+    "manifest emo_embedding": ("manifest", lambda o: o.update(emo_embedding=[0.1, _SLOT]),
+                               "line 2: emo_embedding"),
+    "easv r_iqr": ("easv", lambda o: o.update(r_iqr=_SLOT), "line 2: r_iqr"),
+    "prosody energy_mean": ("prosody", lambda o: o.update(energy_mean=_SLOT),
+                            "line 2: energy_mean"),
+    "model point": ("model", lambda d: d["centroids"]["happy"].update(point=[0.5, _SLOT, 0.5]),
+                    "centroids['happy']: point"),
+    "model q1": ("model", lambda d: d["bounds"]["happy"].update(q1=_SLOT), "bounds['happy']: q1"),
+    "model objective": ("model", lambda d: d["centroids"]["happy"].update(objective=_SLOT),
+                        "centroids['happy']: objective"),
+}
+
+
+@pytest.mark.parametrize("literal", ["9" * 401, "NaN", "Infinity", "-1e400"],
+                         ids=["401-digit", "NaN", "Infinity", "-1e400"])
+@pytest.mark.parametrize("field", list(_NUMBER_FIELDS))
+def test_number_beyond_finite_floats_names_the_key(tmp_path, capsys, chain, field, literal):
+    kind, edit, where = _NUMBER_FIELDS[field]
+    bad, out = tmp_path / kind, tmp_path / "out"
+    _write_edited(chain, kind, edit, literal, bad)
+    assert run(_reading(kind, bad, chain, out)) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {where} must be a finite number\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, edit, message", [
+    ("manifest", lambda o: [1, 2], "line 2: record must be a JSON object"),
+    ("prosody", lambda o: [1, 2], "line 2: prosody record must be a JSON object"),
+    ("prosody", lambda o: {k: v for k, v in o.items() if k != "energy_mean"},
+     "line 2: missing key 'energy_mean'"),
+    ("model", lambda d: [d], "EASV model must be a JSON object"),
+    ("model", lambda d: d["centroids"].update(happy=[0.5, 0.5, 0.5]),
+     "centroids['happy']: entry must be a JSON object"),
+    ("model", lambda d: d["bounds"].update(sad=[1, 2, 3, 4]),
+     "bounds['sad']: entry must be a JSON object"),
+    ("model", lambda d: d.update(bounds=[]), "bounds must be a JSON object"),
+], ids=["manifest", "prosody", "prosody-missing-key", "model", "model-centroid", "model-bound",
+        "model-bounds"])
+def test_json_value_that_is_no_object_names_it(tmp_path, capsys, chain, kind, edit, message):
+    bad, out = tmp_path / kind, tmp_path / "out"
+    _write_edited(chain, kind, edit, "", bad)
+    assert run(_reading(kind, bad, chain, out)) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("literal", ["[" * 100_000 + "]" * 100_000, "9" * 5000],
+                         ids=["nested-too-deep", "5000-digit"])
+def test_json_past_the_decoder_limits_is_malformed(tmp_path, capsys, chain, literal):
+    bad, out = tmp_path / "manifest", tmp_path / "out"
+    _write_edited(chain, "manifest", lambda o: o.update(vad=[0.5, _SLOT, 0.5]), literal, bad)
+    assert run(_reading("manifest", bad, chain, out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: line 2: malformed record: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+_JSON_NUMBER_LITERAL = (
+    st.from_regex(r"\A-?(0|[1-9][0-9]{0,400})(\.[0-9]{1,20})?([eE][+-]?[0-9]{1,4})?\Z",
+                  fullmatch=True)
+    | st.integers(-10 ** 401, 10 ** 401).map(str)
+    | st.sampled_from(["NaN", "Infinity", "-Infinity", "-0", "1e-400", "9" * 401]))
+_ANY_NUMBER_FIELD = {
+    "manifest speaker": ("manifest", lambda o: o.update(speaker=_SLOT)),
+    "manifest vad": ("manifest", lambda o: o.update(vad=[_SLOT, 0.5, 0.5])),
+    "manifest spk_embedding": ("manifest", lambda o: o.update(spk_embedding=[_SLOT])),
+    "easv theta": ("easv", lambda o: o.update(theta=_SLOT)),
+    "easv phi": ("easv", lambda o: o.update(phi=_SLOT)),
+    "prosody pitch_mean_hz": ("prosody", lambda o: o.update(pitch_mean_hz=_SLOT)),
+    "prosody duration_s": ("prosody", lambda o: o.update(duration_s=_SLOT)),
+    "model point": ("model", lambda d: d["centroids"]["sad"].update(point=[0.3, 0.3, _SLOT])),
+    "model r_max": ("model", lambda d: d["bounds"]["angry"].update(r_max=_SLOT)),
+    "model objective": ("model", lambda d: d["centroids"]["angry"].update(objective=_SLOT)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@example(field="easv theta", literal="9" * 401)
+@given(field=st.sampled_from(sorted(_ANY_NUMBER_FIELD)), literal=_JSON_NUMBER_LITERAL)
+def test_any_json_number_in_a_numeric_field_exits_0_or_1(tmp_path_factory, chain, field,
+                                                         literal):
+    kind, edit = _ANY_NUMBER_FIELD[field]
+    d = tmp_path_factory.mktemp("literal")
+    bad, out = d / kind, d / "out"
+    _write_edited(chain, kind, edit, literal, bad)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run(_reading(kind, bad, chain, out))
+    assert code in (0, 1), err.getvalue()
+    assert out.exists() == (code == 0)

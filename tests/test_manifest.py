@@ -39,7 +39,7 @@ def test_parse_sorts_by_id():
 
 def test_parse_vad_out_of_range():
     line = '{"id":"u1","speaker":"s","emotion":"happy","vad":[1.2,0,0]}'
-    with pytest.raises(ValueError, match="^line 1: vad out of range$"):
+    with pytest.raises(ValueError, match=r"^line 1: valence component 1.2 outside \[0, 1\]$"):
         parse_manifest(line)
 
 
@@ -62,7 +62,7 @@ def test_parse_missing_required_key(missing):
     obj = {"id": "u1", "speaker": "s", "emotion": "happy", "vad": [0.5, 0.5, 0.5]}
     del obj[missing]
     import json
-    with pytest.raises(ValueError, match=f"missing required key '{missing}'"):
+    with pytest.raises(ValueError, match=f"^line 1: missing key '{missing}'$"):
         parse_manifest(json.dumps(obj))
 
 

@@ -6,7 +6,6 @@ import pytest
 from vadsphere import (
     Centroid,
     VadPoint,
-    angle_cosine,
     eca,
     eecs,
     neutral_center,
@@ -64,12 +63,13 @@ def test_svas_jumps_at_the_phi_branch_cut():
     assert svas([a, b], [a, b], CENTER) == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
+# The cosine of (theta, phi) angle vectors that svas takes is eecs's row cosine.
 def test_angle_cosine_orthogonal():
-    assert angle_cosine([[1.0, 0.0]], [[0.0, 1.0]]).tolist() == [0.0]
+    assert eecs([[1.0, 0.0]], [[0.0, 1.0]]).tolist() == [0.0]
 
 
 def test_angle_cosine_closed_form():
-    value = angle_cosine([[1.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]])
+    value = eecs([[1.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]])
     assert value == pytest.approx([1.0 / math.sqrt(2.0), 1.0], abs=1e-4)
 
 
