@@ -32,7 +32,6 @@ from .manifest import (
     UtteranceRecord,
     parse_manifest,
     read_wav,
-    serialize_manifest,
 )
 from .metrics import (
     eca,
@@ -42,6 +41,7 @@ from .metrics import (
     svas,
 )
 from .pipeline import (
+    TOOL_VERSION as __version__,
     EasvModel,
     EasvSet,
     IqrBounds,
@@ -64,8 +64,6 @@ from .prosody import (
     rmse_period,
     utterance_prosody,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AnalysisCell",
@@ -109,7 +107,6 @@ __all__ = [
     "render_report",
     "rmse_f0",
     "rmse_period",
-    "serialize_manifest",
     "shift",
     "solve_centroid",
     "svas",

@@ -81,9 +81,8 @@ def build_report(easvs: EasvSet,
     ones. Means are arithmetic, each sum taken in record order; a cell's
     pitch mean covers only the records that have a voiced pitch estimate.
     """
-    by_id = manifest.by_id()
-    emotion_order = tuple(e for e in manifest.emotion_order()
-                          if e != manifest.neutral_label)
+    listed_emotion = dict(zip(manifest.ids, manifest.emotions))
+    emotion_order = tuple(e for e in manifest.class_rows() if e != manifest.neutral_label)
     # cells are numbered (emotion, octant, region) in C order; neutral
     # records share the one bin after them
     per_emotion = len(OCTANT_ORDER) * len(REGION_ORDER)
@@ -92,13 +91,13 @@ def build_report(easvs: EasvSet,
     first_bin[manifest.neutral_label] = neutral_bin
     bins, values = [], []  # per record: its emotion's first bin, (pitch, energy, duration)
     for rec_id, emotion in zip(easvs.ids, easvs.emotions):
-        record = by_id.get(rec_id)
-        if record is None:
+        listed = listed_emotion.get(rec_id)
+        if listed is None:
             raise ValueError(f"easv id '{rec_id}' not found in manifest")
-        if record.emotion != emotion:
+        if listed != emotion:
             raise ValueError(
                 f"emotion mismatch for id '{rec_id}': manifest says "
-                f"'{record.emotion}', easv says '{emotion}'")
+                f"'{listed}', easv says '{emotion}'")
         stats = prosody.get(rec_id)
         if stats is None and emotion != manifest.neutral_label:
             raise ValueError(f"missing prosody for record '{rec_id}'")

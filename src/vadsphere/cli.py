@@ -25,10 +25,8 @@ import numpy as np
 
 from .analysis import build_report, render_report
 from .centroid import SolverConfig
-from .geometry import AXES, Centroid, StyleOctant, neutral_center
+from .geometry import Centroid, RowError, StyleOctant, check_in_cube, neutral_center
 from .manifest import (
-    RowError,
-    first_fault,
     json_object,
     label_field,
     line_error,
@@ -153,11 +151,10 @@ def _parse_vad_points(text: str) -> tuple[np.ndarray, np.ndarray]:
     line_nos, arr = _parse_vectors(text)
     if arr.shape[1] != 3:
         raise ValueError(f"expected 3 values per line, got {arr.shape[1]}")
-    outside = (arr < 0.0) | (arr > 1.0)
-    if outside.any():
-        row, axis = first_fault(outside)
-        raise line_error(line_nos[row], f"{AXES[axis]} component {float(arr[row, axis])} "
-                                        "outside [0, 1]")
+    try:
+        check_in_cube(arr)
+    except RowError as exc:
+        raise line_error(line_nos[exc.row], exc) from exc
     return line_nos, arr
 
 
@@ -234,10 +231,10 @@ def _cmd_svas(args) -> tuple[str, str | None]:
         center = Centroid(point=tuple(parts))
     else:
         manifest = _parse_file(args.manifest, parse_manifest, args.neutral_label)
-        neutrals = [r.vad for r in manifest.neutral_records()]
-        if not neutrals:
+        neutrals = manifest.class_rows().get(manifest.neutral_label)
+        if neutrals is None:
             raise ValueError("no neutral records in manifest to derive a center from")
-        center = neutral_center(neutrals)
+        center = neutral_center(manifest.vad[neutrals])
     try:
         scores = svas(synth, ref, center)
     except RowError as exc:
@@ -296,11 +293,10 @@ def _cmd_prosody(args) -> tuple[str, str | None]:
     source = args.manifest if args.manifest is not None else args.wav_list
     if args.manifest is not None:
         manifest = _parse_file(args.manifest, parse_manifest)
-        jobs_input = []
-        for record in manifest.records:
-            if record.audio_path is None:
-                raise ValueError(f"record '{record.id}' has no audio_path")
-            jobs_input.append((record.id, record.audio_path))
+        jobs_input = list(zip(manifest.ids, manifest.audio_paths))
+        for rec_id, path in jobs_input:
+            if path is None:
+                raise ValueError(f"record '{rec_id}' has no audio_path")
     else:
         paths = _parse_file(args.wav_list, _stripped_lines, "wav paths")
         jobs_input = sorted((p, p) for p in paths)

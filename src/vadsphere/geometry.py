@@ -28,6 +28,30 @@ _acos = np.frompyfunc(math.acos, 1, 1)
 _atan2 = np.frompyfunc(math.atan2, 2, 1)
 
 
+class RowError(ValueError):
+    """A fault in row `row` of the array passed as argument `arg` (0 = the first)
+    of a function over arrays; the caller that read the rows names the line."""
+
+    def __init__(self, message: str, row: int, arg: int = 0) -> None:
+        super().__init__(message)
+        self.row, self.arg = row, arg
+
+
+def first_fault(faults: np.ndarray) -> tuple[int, int]:
+    """(row, column) of the first True in an (n, k) mask, row by row."""
+    return divmod(int(np.argmax(faults)), faults.shape[1])
+
+
+def check_in_cube(points) -> None:
+    """Raise a RowError naming the first VAD component of the (n, 3) points
+    outside [0, 1], row by row."""
+    points = np.asarray(points, dtype=np.float64)
+    outside = ~((0.0 <= points) & (points <= 1.0))
+    if outside.any():
+        row, axis = first_fault(outside)
+        raise RowError(f"{AXES[axis]} component {float(points[row, axis])} outside [0, 1]", row)
+
+
 class VadPoint(namedtuple("VadPoint", "v a d")):
     """A (valence, arousal, dominance) triple in [0, 1]^3.
 
@@ -38,9 +62,7 @@ class VadPoint(namedtuple("VadPoint", "v a d")):
     __slots__ = ()
 
     def __new__(cls, v: float, a: float, d: float) -> "VadPoint":
-        for name, value in zip(AXES, (v, a, d)):
-            if not (0.0 <= value <= 1.0):
-                raise ValueError(f"{name} component {value} outside [0, 1]")
+        check_in_cube([(v, a, d)])
         return super().__new__(cls, v, a, d)
 
     def as_tuple(self) -> tuple[float, float, float]:

@@ -14,11 +14,12 @@ by ``json_object`` and read through ``label_field``, ``number_field`` and
 finite number``.
 
 Manifests are UTF-8 text with one JSON object per line. Required keys:
-``id``, ``speaker``, ``emotion`` (each a string, or a number read as
-text), ``vad`` (3-element array in [0, 1]). Optional keys:
+``id`` (non-empty), ``speaker``, ``emotion`` (each a string, or a finite
+number read as text), ``vad`` (3-element array in [0, 1]). Optional keys:
 ``audio_path`` (a string), ``emo_embedding``, ``spk_embedding`` (non-empty
-arrays). Unknown keys are ignored. Records are kept sorted by id so
-downstream aggregation is deterministic.
+arrays). Unknown keys are ignored. A parsed manifest is a set of columns,
+one entry per utterance, sorted by id so downstream aggregation is
+deterministic.
 
 WAV support is deliberately narrow: RIFF little-endian, 16-bit signed PCM,
 mono or multichannel (downmixed by channel mean). No resampling, no
@@ -33,12 +34,13 @@ import json
 import math
 import wave
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Mapping
+from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import VadPoint
+from .geometry import RowError, VadPoint, as_points, check_in_cube
 
 INT16_SCALE = 32768.0
 
@@ -46,8 +48,7 @@ INT16_SCALE = 32768.0
 _JSON_NUMBER = frozenset((int, float))
 
 
-@dataclass(frozen=True)
-class UtteranceRecord:
+class UtteranceRecord(NamedTuple):
     """One manifest row: identity, labels, VAD triple, optional attachments."""
 
     id: str
@@ -58,44 +59,64 @@ class UtteranceRecord:
     emo_embedding: tuple[float, ...] | None = None
     spk_embedding: tuple[float, ...] | None = None
 
-    def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("record id must be non-empty")
-        for name, emb in (("emo_embedding", self.emo_embedding),
-                          ("spk_embedding", self.spk_embedding)):
-            if emb is not None and len(emb) == 0:
-                raise ValueError(f"{name} must have positive dimension when present")
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DatasetManifest:
-    """Immutable, id-sorted collection of utterance records."""
+    """Utterances as columns: row i of each is the utterance ids[i].
 
-    records: tuple[UtteranceRecord, ...]
+    ids are unique and sorted. vad is the read-only (n, 3) float array of
+    points in the unit cube. A missing audio path or embedding is None.
+    Manifests are equal when all their columns are.
+    """
+
+    ids: tuple[str, ...]
+    speakers: tuple[str, ...]
+    emotions: tuple[str, ...]
+    vad: np.ndarray
+    audio_paths: tuple[str | None, ...]
+    emo_embeddings: tuple[tuple[float, ...] | None, ...]
+    spk_embeddings: tuple[tuple[float, ...] | None, ...]
     neutral_label: str = "neutral"
 
     def __post_init__(self) -> None:
-        ids = [r.id for r in self.records]
-        if sorted(ids) != ids:
-            raise ValueError("manifest records must be sorted by id")
-        if len(set(ids)) != len(ids):
-            raise ValueError("manifest records must have unique ids")
+        vad = as_points(self.vad).copy()  # a copy, so that no caller can change it
+        vad.flags.writeable = False
+        object.__setattr__(self, "vad", vad)
+        if len({len(self.ids), len(self.speakers), len(self.emotions), len(vad),
+                len(self.audio_paths), len(self.emo_embeddings), len(self.spk_embeddings)}) > 1:
+            raise ValueError("manifest columns must have one entry per record")
+        if any(a >= b for a, b in zip(self.ids, self.ids[1:])):
+            raise ValueError("manifest ids must be unique and sorted")
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
-    def by_id(self) -> Mapping[str, UtteranceRecord]:
-        return {r.id: r for r in self.records}
+    def __eq__(self, other) -> bool:
+        def columns(m: DatasetManifest) -> tuple:
+            return (m.ids, m.speakers, m.emotions, m.vad.tolist(), m.audio_paths,
+                    m.emo_embeddings, m.spk_embeddings, m.neutral_label)
+        return isinstance(other, DatasetManifest) and columns(self) == columns(other)
+
+    def class_rows(self) -> dict[str, np.ndarray]:
+        """Each emotion's row indices, emotions in order of first appearance."""
+        rows: dict[str, list[int]] = {}
+        for row, emotion in enumerate(self.emotions):  # str ==: numpy text drops trailing NULs
+            rows.setdefault(emotion, []).append(row)
+        return {emotion: np.array(r) for emotion, r in rows.items()}
+
+    # A row view, kept only because perfbench/checks.py and perfbench/traced.py
+    # read records[i].vad, .emotion and .vad.as_tuple(); nothing in the package does.
+    @cached_property
+    def records(self) -> tuple[UtteranceRecord, ...]:
+        return tuple(map(UtteranceRecord, self.ids, self.speakers, self.emotions,
+                         map(VadPoint._make, self.vad.tolist()), self.audio_paths,
+                         self.emo_embeddings, self.spk_embeddings))
 
     def class_records(self, emotion: str) -> list[UtteranceRecord]:
         return [r for r in self.records if r.emotion == emotion]
 
     def neutral_records(self) -> list[UtteranceRecord]:
         return self.class_records(self.neutral_label)
-
-    def emotion_order(self) -> list[str]:
-        """Emotion labels in order of first appearance over the sorted records."""
-        return list(dict.fromkeys(r.emotion for r in self.records))
 
 
 @dataclass(frozen=True)
@@ -156,20 +177,6 @@ def line_error(line_no: int, message) -> ValueError:
     return ValueError(f"line {line_no}: {message}")
 
 
-class RowError(ValueError):
-    """A fault in row `row` of the array passed as argument `arg` (0 = the first)
-    of a function over arrays; the caller that read the rows names the line."""
-
-    def __init__(self, message: str, row: int, arg: int = 0) -> None:
-        super().__init__(message)
-        self.row, self.arg = row, arg
-
-
-def first_fault(faults: np.ndarray) -> tuple[int, int]:
-    """(row, column) of the first True in an (n, k) mask, row by row."""
-    return divmod(int(np.argmax(faults)), faults.shape[1])
-
-
 def unique_ids(numbered: list[tuple[int, tuple]]) -> dict:
     """{id: value} from parse_lines output of (id, value) pairs; ids must be unique."""
     out = {}
@@ -198,10 +205,13 @@ def object_value(value, what: str) -> dict:
 
 
 def label_field(obj: dict, key: str) -> str:
-    """obj[key] as text: a JSON string or number; null, true, [] or {} is no label."""
+    """obj[key] as text: a JSON string or a finite JSON number; null, true, [] or
+    {} is no label, and NaN or Infinity no finite number."""
     value = obj[key]
     if type(value) not in (str, int, float):
         raise ValueError(f"{key} must be a string or number")
+    if type(value) is float and not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite number")
     return str(value)
 
 
@@ -232,60 +242,41 @@ def number_list(obj: dict, key: str) -> list[float]:
     raise ValueError(f"{key} must be a finite number")
 
 
-def _parse_vad(obj: dict) -> VadPoint:
-    values = number_list(obj, "vad")
-    if len(values) != 3:
-        raise ValueError("vad must be a 3-element array")
-    return VadPoint(*values)
+_EMBEDDINGS = ("emo_embedding", "spk_embedding")
 
 
-def _parse_embedding(obj: dict, key: str) -> tuple[float, ...] | None:
-    return None if obj.get(key) is None else tuple(number_list(obj, key))
-
-
-def _parse_record(line: str) -> tuple[str, UtteranceRecord]:
+def _parse_record(line: str) -> tuple[str, tuple]:
+    """(id, the row's column values); the VAD range is checked over all rows."""
     obj = json_object(line, "record")
     audio_path = obj.get("audio_path")
     if audio_path is not None and type(audio_path) is not str:
         raise ValueError("audio_path must be a string")
-    record = UtteranceRecord(
-        id=label_field(obj, "id"),
-        speaker=label_field(obj, "speaker"),
-        emotion=label_field(obj, "emotion"),
-        vad=_parse_vad(obj),
-        audio_path=audio_path,
-        emo_embedding=_parse_embedding(obj, "emo_embedding"),
-        spk_embedding=_parse_embedding(obj, "spk_embedding"),
-    )
-    return record.id, record
+    rec_id, speaker, emotion = (label_field(obj, key) for key in ("id", "speaker", "emotion"))
+    vad = number_list(obj, "vad")
+    if len(vad) != 3:
+        raise ValueError("vad must be a 3-element array")
+    embeddings = [None if obj.get(key) is None else tuple(number_list(obj, key))
+                  for key in _EMBEDDINGS]
+    if not rec_id:
+        raise ValueError("record id must be non-empty")
+    for key, embedding in zip(_EMBEDDINGS, embeddings):
+        if embedding == ():
+            raise ValueError(f"{key} must have positive dimension when present")
+    return rec_id, (rec_id, speaker, emotion, vad, audio_path, *embeddings)
 
 
 def parse_manifest(source, neutral_label: str = "neutral") -> DatasetManifest:
     """Parse a line-delimited manifest from bytes, text, a path, or a stream;
-    a malformed record or a duplicate id is a ValueError naming its line."""
-    by_id = unique_ids(parse_lines(_coerce_text(source), _parse_record))
-    return DatasetManifest(records=tuple(by_id[k] for k in sorted(by_id)),
-                           neutral_label=neutral_label)
-
-
-def serialize_manifest(manifest: DatasetManifest) -> str:
-    """Render a manifest back to line-delimited text (id-sorted, stable keys)."""
-    lines = []
-    for r in manifest.records:
-        obj: dict = {
-            "id": r.id,
-            "speaker": r.speaker,
-            "emotion": r.emotion,
-            "vad": [r.vad.v, r.vad.a, r.vad.d],
-        }
-        if r.audio_path is not None:
-            obj["audio_path"] = r.audio_path
-        if r.emo_embedding is not None:
-            obj["emo_embedding"] = list(r.emo_embedding)
-        if r.spk_embedding is not None:
-            obj["spk_embedding"] = list(r.spk_embedding)
-        lines.append(json.dumps(obj))
-    return "\n".join(lines) + ("\n" if lines else "")
+    a malformed record, a VAD component outside [0, 1] or a duplicate id is a
+    ValueError naming its line."""
+    numbered = parse_lines(_coerce_text(source), _parse_record)
+    try:
+        check_in_cube(np.reshape([row[3] for _, (_, row) in numbered], (-1, 3)))
+    except RowError as exc:
+        raise line_error(numbered[exc.row][0], exc) from exc
+    rows = unique_ids(numbered)
+    columns = zip(*(rows[k] for k in sorted(rows))) if rows else ((),) * 7
+    return DatasetManifest(*columns, neutral_label=neutral_label)
 
 
 def read_wav(path) -> AudioBuffer:

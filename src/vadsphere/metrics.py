@@ -10,8 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Centroid, shift, to_spherical
-from .manifest import RowError, first_fault
+from .geometry import Centroid, RowError, first_fault, shift, to_spherical
 
 # Below this shifted radius the style angle is undefined.
 MIN_ANGLE_RADIUS = 1e-9

@@ -17,17 +17,14 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from importlib.metadata import PackageNotFoundError, version
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .centroid import SolverConfig, solve_centroid
-from .geometry import Centroid, StyleOctant, shift, to_spherical
+from .geometry import Centroid, RowError, StyleOctant, first_fault, shift, to_spherical
 from .manifest import (
     DatasetManifest,
-    RowError,
-    first_fault,
     json_object,
     label_field,
     line_error,
@@ -47,10 +44,9 @@ MIN_CLASS_RECORDS = 4
 
 MODEL_FORMAT = "easv-model"
 
-try:
-    TOOL_VERSION = version("vadsphere")
-except PackageNotFoundError:  # running from a source tree without install
-    TOOL_VERSION = "0.0.0+src"
+# The package version (vadsphere.__version__ and pyproject.toml read it), written
+# into model files
+TOOL_VERSION = "0.1.0"
 
 
 def intensity_label_to_value(label: str) -> float:
@@ -165,14 +161,6 @@ def normalize_radius(r, b: IqrBounds):
     return (np.clip(r, b.r_min, b.r_max) - b.r_min) / (b.r_max - b.r_min)
 
 
-def _class_rows(manifest: DatasetManifest) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """The records' (n, 3) VAD array and each emotion's row indices, in
-    manifest emotion order."""
-    vad = np.array([r.vad for r in manifest.records], dtype=np.float64).reshape(-1, 3)
-    labels = np.array([r.emotion for r in manifest.records])
-    return vad, {e: np.flatnonzero(labels == e) for e in manifest.emotion_order()}
-
-
 def fit_easv_model(manifest: DatasetManifest,
                    cfg: SolverConfig | None = None) -> EasvModel:
     """Fit centroids and per-class radius bounds for every non-neutral class.
@@ -183,7 +171,7 @@ def fit_easv_model(manifest: DatasetManifest,
     rejected because they leave nothing to normalize.
     """
     cfg = cfg or SolverConfig()
-    vad, rows = _class_rows(manifest)
+    vad, rows = manifest.vad, manifest.class_rows()
     neutrals = vad[rows.pop(manifest.neutral_label, [])]
     if len(neutrals) == 0:
         raise ValueError("no neutral records")
@@ -218,9 +206,9 @@ def extract_easv_set(manifest: DatasetManifest, model: EasvModel) -> EasvSet:
     its class centroid; theta and phi pass through unchanged and only the
     radius is normalized.
     """
-    vad, rows = _class_rows(manifest)
+    vad = manifest.vad
     easv = np.zeros_like(vad)
-    for emotion, class_rows in rows.items():
+    for emotion, class_rows in manifest.class_rows().items():
         if emotion == model.neutral_label:
             continue
         centroid = model.centroids.get(emotion)
@@ -229,8 +217,7 @@ def extract_easv_set(manifest: DatasetManifest, model: EasvModel) -> EasvSet:
         spherical = to_spherical(shift(vad[class_rows], centroid))
         spherical[:, 0] = normalize_radius(spherical[:, 0], model.bounds[emotion])
         easv[class_rows] = spherical
-    return EasvSet(ids=tuple(r.id for r in manifest.records),
-                   emotions=tuple(r.emotion for r in manifest.records),
+    return EasvSet(ids=manifest.ids, emotions=manifest.emotions,
                    r_iqr=easv[:, 0], theta=easv[:, 1], phi=easv[:, 2])
 
 

@@ -228,17 +228,9 @@ def f1_vuv(a: F0Track, b: F0Track) -> float:
 
 
 # ---------------------------------------------------------------------------
-# track serialization (line-delimited, for inspection and re-ingestion)
+# track files: `# hop=N` and `# sample_rate=N` headers plus one
+# `frame f0 voiced periodicity` line per frame
 # ---------------------------------------------------------------------------
-
-def track_to_text(track: F0Track) -> str:
-    """Header comments plus one `frame f0 voiced periodicity` line per frame."""
-    lines = [f"# hop={track.hop}", f"# sample_rate={track.sample_rate}"]
-    for i in range(len(track)):
-        lines.append(f"{i} {float(track.f0_hz[i])!r} {int(track.voiced[i])} "
-                     f"{float(track.periodicity[i])!r}")
-    return "\n".join(lines) + "\n"
-
 
 def _parse_track_line(line: str) -> tuple[str | None, object]:
     """A `# key=value` header as (key, value); a frame as (None, (f0, voiced, periodicity))."""
@@ -270,7 +262,7 @@ def _parse_track_line(line: str) -> tuple[str | None, object]:
 
 
 def track_from_text(text: str) -> F0Track:
-    """Parse track_to_text output; a malformed line is an error naming it."""
+    """Parse a track file; a malformed line is an error naming it."""
     numbered = parse_lines(text, _parse_track_line)
     header = {key: value for _, (key, value) in numbered if key is not None}
     if header.get("hop") is None or header.get("sample_rate") is None:

@@ -1,13 +1,14 @@
-"""Shared builders for synthetic manifests and audio."""
+"""Shared builders and writers for synthetic manifests, f0 tracks and audio."""
 
 from __future__ import annotations
 
+import json
 import wave
 from pathlib import Path
 
 import numpy as np
 
-from vadsphere import DatasetManifest, UtteranceRecord, VadPoint
+from vadsphere import DatasetManifest, F0Track, UtteranceRecord, VadPoint
 
 CLASS_CENTERS = {
     "neutral": (0.50, 0.50, 0.50),
@@ -32,8 +33,38 @@ def synthetic_manifest(per_class: int = 200, seed: int = 2024,
                 emotion=emotion,
                 vad=VadPoint(*p),
             ))
-    records.sort(key=lambda r: r.id)
-    return DatasetManifest(records=tuple(records), neutral_label="neutral")
+    return manifest_of(records)
+
+
+def manifest_of(records, neutral_label: str = "neutral") -> DatasetManifest:
+    """The manifest whose rows are the UtteranceRecords `records`, in any order."""
+    rows = sorted(records, key=lambda r: r.id)
+    return DatasetManifest(*(zip(*rows) if rows else ((),) * 7), neutral_label=neutral_label)
+
+
+def serialize_manifest(manifest: DatasetManifest) -> str:
+    """A manifest as line-delimited text: id-sorted rows, stable keys, optional
+    keys only where present."""
+    lines = []
+    for rec_id, speaker, emotion, vad, *optional in zip(
+            manifest.ids, manifest.speakers, manifest.emotions, manifest.vad.tolist(),
+            manifest.audio_paths, manifest.emo_embeddings, manifest.spk_embeddings):
+        obj = {"id": rec_id, "speaker": speaker, "emotion": emotion, "vad": vad}
+        for key, value in zip(("audio_path", "emo_embedding", "spk_embedding"), optional):
+            if value is not None:
+                obj[key] = value
+        lines.append(json.dumps(obj))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def track_to_text(track: F0Track) -> str:
+    """A track file: header comments plus one `frame f0 voiced periodicity` line
+    per frame."""
+    lines = [f"# hop={track.hop}", f"# sample_rate={track.sample_rate}"]
+    for i in range(len(track)):
+        lines.append(f"{i} {float(track.f0_hz[i])!r} {int(track.voiced[i])} "
+                     f"{float(track.periodicity[i])!r}")
+    return "\n".join(lines) + "\n"
 
 
 def random_solver_instance(rng: np.random.Generator, n: int = 200):

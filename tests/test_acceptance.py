@@ -32,11 +32,11 @@ from vadsphere import (
 )
 from vadsphere.cli import run
 from vadsphere.geometry import Centroid
-from vadsphere.manifest import serialize_manifest
 
 from conftest import (
     ACCEPTANCE_LINES,
     random_solver_instance,
+    serialize_manifest,
     sine_samples,
     synthetic_manifest,
 )

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vadsphere import (
-    DatasetManifest,
     EasvSet,
     ProsodyStats,
     StyleOctant,
@@ -19,6 +18,8 @@ from vadsphere import (
     render_report,
 )
 from vadsphere.analysis import FEATURES, REGION_ORDER
+
+from conftest import manifest_of
 
 REGION_R_IQR = {"R1": 0.2, "R2": 0.5, "R3": 0.8}
 
@@ -70,8 +71,7 @@ def build_synthetic_inputs(with_neutral: bool = True):
             easvs[rec_id] = ("neutral", 0.0, 0.0, 0.0)
             prosody[rec_id] = ProsodyStats(pitch_mean_hz=50.0 + i,
                                            energy_mean=2.0, duration_s=3.0)
-    records.sort(key=lambda r: r.id)
-    manifest = DatasetManifest(tuple(records), "neutral")
+    manifest = manifest_of(records)
     return manifest, EasvSet.from_rows(easvs), prosody, expected
 
 
@@ -196,7 +196,7 @@ def test_render_markdown_thousands_separators():
 
 
 def test_render_markdown_empty_report_is_header_only():
-    manifest = DatasetManifest((), "neutral")
+    manifest = manifest_of(())
     report = build_report(EasvSet.from_rows({}), {}, manifest)
     text = render_report(report, "markdown")
     table_lines = [ln for ln in text.splitlines() if ln.startswith("|")]
@@ -205,7 +205,7 @@ def test_render_markdown_empty_report_is_header_only():
 
 def test_render_csv_single_cell():
     records = (UtteranceRecord("u1", "s", "angry", VadPoint(0.5, 0.5, 0.5)),)
-    manifest = DatasetManifest(records, "neutral")
+    manifest = manifest_of(records)
     theta, phi = _octant_angles("I")
     easvs = EasvSet.from_rows({"u1": ("angry", 0.5, theta, phi)})
     prosody = {"u1": ProsodyStats(70.0, 5.0, 3.0)}
@@ -219,7 +219,7 @@ def test_render_csv_single_cell():
 
 def test_render_csv_empty_fields_for_absent_means():
     records = (UtteranceRecord("u1", "s", "angry", VadPoint(0.5, 0.5, 0.5)),)
-    manifest = DatasetManifest(records, "neutral")
+    manifest = manifest_of(records)
     theta, phi = _octant_angles("I")
     easvs = EasvSet.from_rows({"u1": ("angry", 0.5, theta, phi)})
     prosody = {"u1": ProsodyStats(None, 5.0, 3.0)}  # unvoiced utterance
@@ -229,7 +229,7 @@ def test_render_csv_empty_fields_for_absent_means():
 
 
 def test_render_unknown_format():
-    manifest = DatasetManifest((), "neutral")
+    manifest = manifest_of(())
     report = build_report(EasvSet.from_rows({}), {}, manifest)
     with pytest.raises(ValueError, match="unknown report format"):
         render_report(report, "html")
@@ -291,9 +291,8 @@ _record = st.tuples(st.sampled_from(["neutral", "angry", "happy", "sad"]),
 @given(records=st.lists(_record, max_size=20), data=st.data())
 def test_build_report_matches_python_reference(records, data):
     ids = [f"u{k:03d}" for k in range(len(records))]
-    manifest = DatasetManifest(tuple(
-        UtteranceRecord(rec_id, "s", rec[0], VadPoint(0.5, 0.5, 0.5))
-        for rec_id, rec in zip(ids, records)), "neutral")
+    manifest = manifest_of(UtteranceRecord(rec_id, "s", rec[0], VadPoint(0.5, 0.5, 0.5))
+                           for rec_id, rec in zip(ids, records))
     prosody, rows = {}, {}
     for rec_id in data.draw(st.permutations(ids)):  # EASV order is not id order
         emotion, r_iqr, theta, phi, pitch, energy, duration, has_prosody = (
@@ -332,8 +331,8 @@ def test_build_report_sums_each_cell_in_record_order():
     theta, phi = _octant_angles("I")
     rng = np.random.default_rng(3)
     ids = [f"u{i:02d}" for i in range(40)]
-    manifest = DatasetManifest(tuple(UtteranceRecord(i, "s", "angry", VadPoint(0.5, 0.5, 0.5))
-                                     for i in ids), "neutral")
+    manifest = manifest_of(UtteranceRecord(i, "s", "angry", VadPoint(0.5, 0.5, 0.5))
+                           for i in ids)
     order = [ids[i] for i in rng.permutation(len(ids))]
     easvs = EasvSet.from_rows({i: ("angry", 0.5, theta, phi) for i in order})
     prosody = {i: ProsodyStats(p, p / 7.0, p / 3.0)

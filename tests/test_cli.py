@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -16,10 +15,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vadsphere
-from vadsphere import DatasetManifest, serialize_manifest
 from vadsphere.cli import run
 
-from conftest import CLASS_CENTERS, sine_samples, synthetic_manifest, write_wav
+from conftest import (
+    CLASS_CENTERS,
+    manifest_of,
+    serialize_manifest,
+    sine_samples,
+    synthetic_manifest,
+    track_to_text,
+    write_wav,
+)
 
 
 @pytest.fixture()
@@ -28,6 +34,12 @@ def manifest_file(tmp_path) -> Path:
     path = tmp_path / "manifest.jsonl"
     path.write_text(serialize_manifest(manifest), encoding="utf-8")
     return path
+
+
+def test_fit_writes_the_package_version(tmp_path, manifest_file):
+    model = tmp_path / "model.json"
+    assert run(["fit", "--manifest", str(manifest_file), "--out", str(model)]) == 0
+    assert json.loads(model.read_text())["tool_version"] == vadsphere.__version__
 
 
 def test_fit_is_byte_deterministic(tmp_path, manifest_file):
@@ -457,7 +469,6 @@ def test_metrics_embeddings_labels(tmp_path, capsys):
 
 def test_metrics_tracks(tmp_path, capsys):
     from vadsphere import AudioBuffer, estimate_f0
-    from vadsphere.prosody import track_to_text
     track = estimate_f0(AudioBuffer(samples=sine_samples(220, 0.5), sample_rate=22050))
     path_a = tmp_path / "a.track"
     path_b = tmp_path / "b.track"
@@ -796,16 +807,14 @@ def test_extract_stdout(tmp_path, manifest_file, capsys):
 def test_no_subcommand_loads_scipy(tmp_path):
     """The package depends on numpy alone: no subcommand, `fit` included, loads scipy."""
     from vadsphere import AudioBuffer, estimate_f0
-    from vadsphere.prosody import track_to_text
     sr = 16000
     records = []
     for i, record in enumerate(synthetic_manifest(per_class=5, seed=8).records):
         wav = tmp_path / f"{record.id}.wav"
         write_wav(wav, sine_samples(120.0 + 10 * i, 0.2, sr), sr)
-        records.append(dataclasses.replace(record, audio_path=str(wav)))
+        records.append(record._replace(audio_path=str(wav)))
     manifest = tmp_path / "manifest.jsonl"
-    manifest.write_text(serialize_manifest(
-        DatasetManifest(records=tuple(records))), encoding="utf-8")
+    manifest.write_text(serialize_manifest(manifest_of(records)), encoding="utf-8")
     model = tmp_path / "model.json"
     assert run(["fit", "--manifest", str(manifest), "--out", str(model)]) == 0
     (tmp_path / "vad.txt").write_text("0.8 0.7 0.6\n0.2 0.3 0.4\n")
@@ -965,6 +974,34 @@ def test_number_beyond_finite_floats_names_the_key(tmp_path, capsys, chain, fiel
     assert run(_reading(kind, bad, chain, out)) == 1
     assert capsys.readouterr().err == f"error: {bad}: {where} must be a finite number\n"
     assert not out.exists()
+
+
+_LABEL_FIELDS = {
+    "manifest id": ("manifest", lambda o: o.update(id=_SLOT), "line 2: id"),
+    "manifest speaker": ("manifest", lambda o: o.update(speaker=_SLOT), "line 2: speaker"),
+    "manifest emotion": ("manifest", lambda o: o.update(emotion=_SLOT), "line 2: emotion"),
+    "easv id": ("easv", lambda o: o.update(id=_SLOT), "line 2: id"),
+    "easv emotion": ("easv", lambda o: o.update(emotion=_SLOT), "line 2: emotion"),
+    "prosody id": ("prosody", lambda o: o.update(id=_SLOT), "line 2: id"),
+}
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("field", list(_LABEL_FIELDS))
+def test_non_finite_label_names_the_key(tmp_path, capsys, chain, field, literal):
+    kind, edit, where = _LABEL_FIELDS[field]
+    bad, out = tmp_path / kind, tmp_path / "out"
+    _write_edited(chain, kind, edit, literal, bad)
+    assert run(_reading(kind, bad, chain, out)) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {where} must be a finite number\n"
+    assert not out.exists()
+
+
+def test_large_integer_label_is_its_text(tmp_path, chain):
+    bad, out = tmp_path / "manifest", tmp_path / "out"
+    _write_edited(chain, "manifest", lambda o: o.update(speaker=_SLOT), "9" * 401, bad)
+    assert run(_reading("manifest", bad, chain, out)) == 0
+    assert vadsphere.parse_manifest(bad).speakers[1] == "9" * 401
 
 
 @pytest.mark.parametrize("kind, edit, message", [

@@ -1,20 +1,14 @@
 import io
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vadsphere import (
-    DatasetManifest,
-    UtteranceRecord,
-    VadPoint,
-    parse_manifest,
-    read_wav,
-    serialize_manifest,
-)
+from vadsphere import UtteranceRecord, VadPoint, parse_manifest, read_wav
 
-from conftest import synthetic_manifest, write_wav
+from conftest import manifest_of, serialize_manifest, synthetic_manifest, write_wav
 
 
 def test_parse_single_record():
@@ -109,12 +103,56 @@ _record_fields = st.fixed_dictionaries({
 @settings(max_examples=50, deadline=None)
 @given(rows=st.dictionaries(st.text(min_size=1, max_size=6), _record_fields, max_size=6))
 def test_parse_serialize_round_trip_property(rows):
-    manifest = DatasetManifest(records=tuple(
-        UtteranceRecord(id=rec_id, **fields) for rec_id, fields in sorted(rows.items())))
+    manifest = manifest_of(UtteranceRecord(id=rec_id, **fields) for rec_id, fields in rows.items())
     text = serialize_manifest(manifest)
     again = parse_manifest(text)
     assert again == manifest
     assert serialize_manifest(again) == text
+
+
+@settings(max_examples=50, deadline=None)
+@given(rows=st.dictionaries(st.text(min_size=1, max_size=6), _record_fields, max_size=8),
+       data=st.data())
+def test_columns_match_a_json_reference_property(rows, data):
+    lines = []
+    for rec_id, fields in rows.items():
+        obj = {"id": rec_id, "speaker": fields["speaker"], "emotion": fields["emotion"],
+               "vad": list(fields["vad"])}
+        for key in ("audio_path", "emo_embedding", "spk_embedding"):
+            if fields[key] is not None or data.draw(st.booleans()):  # absent, null or set
+                obj[key] = fields[key]
+        lines.append(json.dumps(obj))
+    lines = data.draw(st.permutations(lines))
+    manifest = parse_manifest("\n".join(lines))
+
+    reference = sorted(map(json.loads, lines), key=lambda obj: obj["id"])
+    for column, key in ((manifest.ids, "id"), (manifest.speakers, "speaker"),
+                        (manifest.emotions, "emotion"), (manifest.audio_paths, "audio_path")):
+        assert column == tuple(obj.get(key) for obj in reference)
+    assert manifest.vad.tolist() == [obj["vad"] for obj in reference]
+    for column, key in ((manifest.emo_embeddings, "emo_embedding"),
+                        (manifest.spk_embeddings, "spk_embedding")):
+        assert column == tuple(None if obj.get(key) is None else tuple(obj[key])
+                               for obj in reference)
+    class_rows = manifest.class_rows()
+    assert list(class_rows) == list(dict.fromkeys(manifest.emotions))
+    assert sorted(np.concatenate([[], *class_rows.values()])) == list(range(len(manifest)))
+    for emotion, rows_of_class in class_rows.items():
+        assert all(manifest.emotions[i] == emotion for i in rows_of_class)
+    assert len(manifest.records) == len(manifest)
+    for i, record in enumerate(manifest.records):
+        assert record == (manifest.ids[i], manifest.speakers[i], manifest.emotions[i],
+                          tuple(manifest.vad[i]), manifest.audio_paths[i],
+                          manifest.emo_embeddings[i], manifest.spk_embeddings[i])
+
+
+def test_class_rows_compare_labels_as_python_text():
+    # a numpy text array drops trailing NULs, so "x" and "x\0" would share rows
+    point = VadPoint(0.5, 0.5, 0.5)
+    manifest = manifest_of([UtteranceRecord("a", "s", "x", point),
+                            UtteranceRecord("b", "s", "x\0", point)])
+    assert {e: rows.tolist() for e, rows in manifest.class_rows().items()} == {
+        "x": [0], "x\0": [1]}
 
 
 def test_read_wav_mono_identity(tmp_path):

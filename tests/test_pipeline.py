@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from vadsphere import (
     Centroid,
+    DatasetManifest,
     EasvModel,
     IqrBounds,
     SolverConfig,
@@ -23,7 +24,6 @@ from vadsphere import (
     shift,
     to_spherical,
 )
-from vadsphere.manifest import DatasetManifest
 from vadsphere.pipeline import (
     easv_set_from_jsonl,
     easv_set_to_jsonl,
@@ -31,7 +31,7 @@ from vadsphere.pipeline import (
     model_to_json,
 )
 
-from conftest import synthetic_manifest
+from conftest import manifest_of, synthetic_manifest
 
 
 def test_iqr_bounds_outlier_example():
@@ -148,8 +148,7 @@ def _toy_manifest(n_happy=6, with_neutral=True):
     for i in range(n_happy):
         records.append(UtteranceRecord(f"h{i}", "s", "happy",
                                        VadPoint(*np.clip(rng.normal((0.8, 0.7, 0.6), 0.1, 3), 0, 1))))
-    records.sort(key=lambda r: r.id)
-    return DatasetManifest(tuple(records), "neutral")
+    return manifest_of(records)
 
 
 def test_fit_structure_two_classes():
@@ -184,7 +183,7 @@ def test_fit_bounds_recomputation_oracle():
 
 
 def _one_record(rec: UtteranceRecord) -> DatasetManifest:
-    return DatasetManifest((rec,), "neutral")
+    return manifest_of([rec])
 
 
 def test_extract_neutral_is_exact_zero():

@@ -17,9 +17,9 @@ from vadsphere import (
     rmse_period,
     utterance_prosody,
 )
-from vadsphere.prosody import _select_lags, track_from_text, track_to_text
+from vadsphere.prosody import _select_lags, track_from_text
 
-from conftest import sine_samples
+from conftest import sine_samples, track_to_text
 
 SR = 22050
 
