@@ -9,8 +9,11 @@
   lattice, in C order; the lattice scan of ``solve_centroid`` and
   ``grid_search_centroid``.
 - ``yin_difference``: the squared difference function d(tau) of YIN
-  (de Cheveigne & Kawahara 2002) for a batch of frames, via FFT correlation
-  at the smallest 5-smooth length >= the frame (1350, not 2048, for 1344).
+  (de Cheveigne & Kawahara 2002) for any batch of frames, via FFT
+  correlation at the smallest 5-smooth length >= the frame (1350, not 2048,
+  for 1344). ``prosody.estimate_f0`` calls it on blocks of
+  ``prosody._F0_BLOCK`` frames; the benchmark's kernel timing passes a
+  whole utterance.
 
 ``centroid`` and ``prosody`` call them as ``_kernels.<name>``, so wrapping a
 module attribute reaches every call; the traced benchmark run counts
@@ -18,6 +21,8 @@ objective evaluations that way.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -61,6 +66,7 @@ def grid_objective_values(axis: np.ndarray, targets: np.ndarray,
     return objective_values(pts.reshape(-1, 3), targets, neutrals, eps)
 
 
+@functools.lru_cache(maxsize=64)  # one entry per frame length in use
 def _fft_length(n: int) -> int:
     """Smallest 2^a * 3^b * 5^c >= n: a length the FFT splits into small radices."""
     k = n.bit_length()  # 3^k and 5^k both exceed n

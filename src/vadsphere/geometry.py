@@ -119,9 +119,7 @@ class Centroid:
     def __post_init__(self) -> None:
         if len(self.point) != 3:
             raise ValueError("centroid point must have 3 components")
-        for value in self.point:
-            if not (0.0 <= value <= 1.0):
-                raise ValueError(f"centroid component {value} outside [0, 1]")
+        check_in_cube([self.point])
 
 
 def as_points(points) -> np.ndarray:

@@ -1,12 +1,14 @@
 """Pitch, energy, and duration extraction plus prosodic error metrics.
 
-Pitch uses the YIN difference function (de Cheveigne & Kawahara, 2002),
-one 5-smooth-length FFT correlation per frame batch: the (frames x lags)
-cumulative-mean-normalized difference d'(tau) is searched, all frames at
-once, for the first dip under the aperiodicity threshold (falling back to
-the global minimum), refined by parabolic interpolation. The dip depth
-doubles as the voicing decision: a frame is voiced when its best d' value
-is below the threshold, and periodicity is reported as 1 - d'.
+Pitch uses the YIN difference function (de Cheveigne & Kawahara, 2002).
+Frames go through in blocks of `_F0_BLOCK` rows, one 5-smooth-length FFT
+correlation per block: the block's (rows x lags) cumulative-mean-normalized
+difference d'(tau) is searched, all rows at once, for the first dip under
+the aperiodicity threshold (falling back to the global minimum), refined by
+parabolic interpolation; only the per-frame dip depth and refined lag
+outlive the block. The dip depth doubles as the voicing decision: a frame
+is voiced when its best d' value is below the threshold, and periodicity is
+reported as 1 - d'.
 
 Frame bookkeeping: energy frames are `window` samples advancing by `hop`;
 pitch frames need `window + tau_max` samples (the difference function
@@ -24,6 +26,12 @@ from . import _kernels
 from .manifest import AudioBuffer, parse_lines
 
 MIN_SAMPLE_RATE = 8000
+
+# Frames per yin_difference call. A block's (rows x n_fft) FFT temporaries,
+# about 0.5 MB at 16 kHz, stay cache-resident and reuse freed memory; with
+# whole utterances, and in some runs with 64-row blocks, every call takes
+# fresh pages, and page faults cost more system time than the FFTs take.
+_F0_BLOCK = 48
 
 
 @dataclass(frozen=True)
@@ -116,6 +124,21 @@ def _select_lags(cm: np.ndarray, tau_min: int, threshold: float) -> np.ndarray:
     return tau_min + lag
 
 
+def _yin_block(frames: np.ndarray, cfg: F0Config, tau_min: int,
+               tau_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per frame of one block: the aperiodicity, d' at the selected lag clipped
+    to [0, 1], and that lag refined by a parabola through tau - 1, tau, tau + 1
+    (none at tau_max or on a flat line)."""
+    cm = _cmndf(_kernels.yin_difference(frames, cfg.window, tau_max))
+    tau = _select_lags(cm, tau_min, cfg.aperiodicity_threshold)
+    rows = np.arange(len(cm))
+    y0, y1, y2 = cm[rows, tau - 1], cm[rows, tau], cm[rows, np.minimum(tau + 1, tau_max)]
+    denom = y0 - 2.0 * y1 + y2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        shift = np.where((tau < tau_max) & (denom != 0.0), 0.5 * (y0 - y2) / denom, 0.0)
+    return np.clip(y1, 0.0, 1.0), tau + shift
+
+
 def estimate_f0(audio: AudioBuffer, cfg: F0Config | None = None) -> F0Track:
     """YIN-style per-frame pitch with a dip-depth voicing decision.
 
@@ -140,21 +163,12 @@ def estimate_f0(audio: AudioBuffer, cfg: F0Config | None = None) -> F0Track:
             f"audio too short for pitch analysis: need {frame_len} samples "
             f"(window plus two periods of f_min), got {x.size}")
 
-    frames = np.ascontiguousarray(
-        np.lib.stride_tricks.sliding_window_view(x, frame_len)[::cfg.hop])
-    diff = _kernels.yin_difference(frames, cfg.window, tau_max)
-    cm = _cmndf(diff)
-
-    tau = _select_lags(cm, tau_min, cfg.aperiodicity_threshold)
-    rows = np.arange(len(cm))
-    aperiodicity = np.clip(cm[rows, tau], 0.0, 1.0)
+    frames = np.lib.stride_tricks.sliding_window_view(x, frame_len)[::cfg.hop]
+    blocks = [_yin_block(frames[lo:lo + _F0_BLOCK], cfg, tau_min, tau_max)
+              for lo in range(0, len(frames), _F0_BLOCK)]
+    aperiodicity, lag = (np.concatenate(part) for part in zip(*blocks))
     voiced = aperiodicity < cfg.aperiodicity_threshold
-    # parabola through tau - 1, tau, tau + 1; none at tau_max or on a flat line
-    y0, y1, y2 = cm[rows, tau - 1], cm[rows, tau], cm[rows, np.minimum(tau + 1, tau_max)]
-    denom = y0 - 2.0 * y1 + y2
-    with np.errstate(invalid="ignore", divide="ignore"):
-        shift = np.where((tau < tau_max) & (denom != 0.0), 0.5 * (y0 - y2) / denom, 0.0)
-    refined = np.clip(tau + shift, tau_min, tau_max)
+    refined = np.clip(lag, tau_min, tau_max)
     f0 = np.where(voiced, np.clip(sr / refined, cfg.f_min, cfg.f_max), 0.0)
     return F0Track(f0_hz=f0, voiced=voiced, periodicity=1.0 - aperiodicity,
                    hop=cfg.hop, sample_rate=sr)
@@ -168,7 +182,7 @@ def utterance_prosody(audio: AudioBuffer, cfg: F0Config | None = None) -> Prosod
     pitch_mean = float(track.f0_hz[track.voiced].mean()) if track.voiced.any() else None
     return ProsodyStats(pitch_mean_hz=pitch_mean,
                         energy_mean=float(energy.mean()),
-                        duration_s=audio.samples.size / audio.sample_rate)
+                        duration_s=audio.duration_s)
 
 
 def align_tracks(a: F0Track, b: F0Track) -> tuple[F0Track, F0Track]:

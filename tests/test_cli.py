@@ -585,9 +585,11 @@ def test_prosody_manifest_and_jobs_equivalence(tmp_path):
     wav_dir = tmp_path / "wavs"
     wav_dir.mkdir()
     lines = []
-    for i, freq in enumerate((150.0, 220.0, 310.0)):
+    # u3, 2.5 s, is 210 pitch frames: several blocks of prosody._F0_BLOCK
+    durations = (0.4, 0.4, 0.4, 2.5)
+    for i, (freq, duration) in enumerate(zip((150.0, 220.0, 310.0, 180.0), durations)):
         wav_path = wav_dir / f"u{i}.wav"
-        write_wav(wav_path, sine_samples(freq, 0.4, sr), sr)
+        write_wav(wav_path, sine_samples(freq, duration, sr), sr)
         lines.append(_json.dumps({"id": f"u{i}", "speaker": "s", "emotion": "happy",
                                   "vad": [0.5, 0.5, 0.5],
                                   "audio_path": str(wav_path)}))
@@ -601,9 +603,10 @@ def test_prosody_manifest_and_jobs_equivalence(tmp_path):
                 "--jobs", "3"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     stats = [_json.loads(line) for line in out1.read_text().splitlines()]
-    assert [s["id"] for s in stats] == ["u0", "u1", "u2"]
+    assert [s["id"] for s in stats] == ["u0", "u1", "u2", "u3"]
     assert stats[1]["pitch_mean_hz"] == pytest.approx(220.0, abs=2.0)
-    assert all(s["duration_s"] == pytest.approx(0.4, abs=1e-3) for s in stats)
+    assert stats[3]["pitch_mean_hz"] == pytest.approx(180.0, abs=2.0)
+    assert all(s["duration_s"] == pytest.approx(d, abs=1e-3) for s, d in zip(stats, durations))
 
 
 def test_prosody_wav_list(tmp_path, capsys):
@@ -775,6 +778,24 @@ def test_svas_vad_out_of_range_names_line(tmp_path, capsys):
                 "--center", "0.5,0.5,0.5"]) == 1
     assert (f"error: {synth}: line 3: arousal component 1.5 outside [0, 1]\n"
             == capsys.readouterr().err)
+
+
+def test_svas_center_outside_cube_names_the_axis(tmp_path, capsys):
+    synth = tmp_path / "synth.txt"
+    synth.write_text("0.8 0.7 0.6\n")
+    assert run(["svas", "--synth", str(synth), "--ref", str(synth),
+                "--center", "1.5,0.5,0.5"]) == 1
+    assert capsys.readouterr().err == "error: valence component 1.5 outside [0, 1]\n"
+
+
+def test_model_centroid_outside_cube_names_the_axis(tmp_path, capsys, chain):
+    bad, out = tmp_path / "model", tmp_path / "out"
+    _write_edited(chain, "model",
+                  lambda d: d["centroids"]["happy"].update(point=[1.5, 0.5, 0.5]), "", bad)
+    assert run(_reading("model", bad, chain, out)) == 1
+    assert (capsys.readouterr().err
+            == f"error: {bad}: centroids['happy']: valence component 1.5 outside [0, 1]\n")
+    assert not out.exists()
 
 
 def test_vector_dimension_mismatch_names_line(tmp_path, capsys):

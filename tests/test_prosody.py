@@ -17,7 +17,8 @@ from vadsphere import (
     rmse_period,
     utterance_prosody,
 )
-from vadsphere.prosody import _select_lags, track_from_text
+from vadsphere import _kernels
+from vadsphere.prosody import _F0_BLOCK, _cmndf, _select_lags, track_from_text
 
 from conftest import sine_samples, track_to_text
 
@@ -145,6 +146,49 @@ def test_select_lags_matches_scalar_search_property(case):
     cm, tau_min = case
     expected = [_scalar_lag(row, tau_min, _THRESHOLD) for row in cm]
     assert _select_lags(cm, tau_min, _THRESHOLD).tolist() == expected
+
+
+def _whole_utterance_f0(audio, cfg=F0Config()):
+    """(f0, voiced, periodicity) from one yin_difference over every frame of
+    the utterance: the unblocked reference for estimate_f0."""
+    sr = audio.sample_rate
+    tau_min = max(2, int(math.floor(sr / cfg.f_max)))
+    tau_max = int(math.ceil(sr / cfg.f_min))
+    frames = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(
+        audio.samples, cfg.window + tau_max)[::cfg.hop])
+    cm = _cmndf(_kernels.yin_difference(frames, cfg.window, tau_max))
+    tau = _select_lags(cm, tau_min, cfg.aperiodicity_threshold)
+    rows = np.arange(len(cm))
+    aperiodicity = np.clip(cm[rows, tau], 0.0, 1.0)
+    y0, y1, y2 = cm[rows, tau - 1], cm[rows, tau], cm[rows, np.minimum(tau + 1, tau_max)]
+    denom = y0 - 2.0 * y1 + y2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        shift = np.where((tau < tau_max) & (denom != 0.0), 0.5 * (y0 - y2) / denom, 0.0)
+    refined = np.clip(tau + shift, tau_min, tau_max)
+    voiced = aperiodicity < cfg.aperiodicity_threshold
+    f0 = np.where(voiced, np.clip(sr / refined, cfg.f_min, cfg.f_max), 0.0)
+    return f0, voiced, 1.0 - aperiodicity
+
+
+@pytest.mark.parametrize("sr", [8000, 16000, 22050, 44100, 48000])
+@pytest.mark.parametrize("n_frames", [1, _F0_BLOCK - 1, _F0_BLOCK, _F0_BLOCK + 1,
+                                      3 * _F0_BLOCK + 5])
+def test_estimate_f0_blocks_match_whole_utterance(sr, n_frames):
+    cfg = F0Config()
+    n = cfg.window + math.ceil(sr / cfg.f_min) + (n_frames - 1) * cfg.hop
+    tone, silence = (4 * n) // 10, (3 * n) // 10
+    samples = np.concatenate([
+        sine_samples(220.0, tone / sr, sr)[:tone], np.zeros(silence),
+        np.random.default_rng(n_frames).uniform(-0.5, 0.5, n - tone - silence)])
+    audio = _audio(samples, sr)
+    track = estimate_f0(audio, cfg)
+    f0, voiced, periodicity = _whole_utterance_f0(audio, cfg)
+    assert len(track) == n_frames
+    assert np.array_equal(track.voiced, voiced)
+    assert np.abs(track.f0_hz - f0).max() <= 1e-9
+    assert np.abs(track.periodicity - periodicity).max() <= 1e-12
+    if n_frames > _F0_BLOCK:  # the signal crosses voiced and unvoiced blocks
+        assert voiced.any() and not voiced.all()
 
 
 def test_estimate_f0_validation():
