@@ -84,10 +84,13 @@ def yin_difference(frames: np.ndarray, window: int, tau_max: int) -> np.ndarray:
     """
     n_frames, frame_len = frames.shape
     n_fft = _fft_length(frame_len)
-    spec_full = np.fft.rfft(frames, n_fft, axis=1)
-    spec_head = np.fft.rfft(frames[:, :window], n_fft, axis=1)
-    corr = np.fft.irfft(spec_full * np.conj(spec_head), n_fft, axis=1)
-    corr = corr[:, :tau_max + 1]
+    # conj(head) *= full, in this operand order at every batch size: written
+    # `full * conj(head)`, numpy reuses the conj temporary from 256 KiB up and
+    # swaps the operands, and the complex product rounds differently, so a
+    # frame's bits would depend on how many frames share the call
+    cross = np.conj(np.fft.rfft(frames[:, :window], n_fft, axis=1))
+    cross *= np.fft.rfft(frames, n_fft, axis=1)
+    corr = np.fft.irfft(cross, n_fft, axis=1)[:, :tau_max + 1]
     sq = frames ** 2
     csum = np.concatenate([np.zeros((n_frames, 1)), np.cumsum(sq, axis=1)], axis=1)
     energy = csum[:, window:window + tau_max + 1] - csum[:, :tau_max + 1]

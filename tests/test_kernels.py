@@ -36,6 +36,18 @@ def test_yin_difference_matches_direct_sum():
             assert np.abs(d[:, tau] - direct).max() < 1e-9, (tau_max, tau)
 
 
+def test_yin_difference_rows_do_not_depend_on_the_batch():
+    # 100 frames of 1344 samples: the whole batch's spectra are over 256 KiB,
+    # a single frame's or a 16-frame block's are not
+    signal = np.random.default_rng(5).normal(0, 0.3, 100 * 256 + 1344)
+    frames = np.lib.stride_tricks.sliding_window_view(signal, 1344)[::256][:100]
+    whole = _kernels.yin_difference(np.ascontiguousarray(frames), 1024, 320)
+    for rows in (1, 16, 48):
+        parts = [_kernels.yin_difference(frames[lo:lo + rows], 1024, 320)
+                 for lo in range(0, len(frames), rows)]
+        assert np.array_equal(np.concatenate(parts), whole), rows
+
+
 def test_fft_length_is_smallest_five_smooth():
     def five_smooth(m):
         for p in (2, 3, 5):
