@@ -6,6 +6,12 @@ fixed inputs. Exit codes: 0 success, 1 input or validation error
 (one-line diagnostic on stderr), 2 internal failure. Nothing is written to
 an --out path unless the whole computation succeeded.
 
+Vector and VAD files are decoded by column and diagnosed by line: the whole
+file goes through np.loadtxt, and only a file it cannot read as equal rows
+goes through the per-line parser, `_parse_vector`, which defines the format
+and names the faulty line. The accepted syntax is that of the per-line
+parser; manifests follow the same rule (see `manifest`).
+
 Set VADSPHERE_LOG=debug|info|warning|error to control log verbosity.
 """
 
@@ -133,13 +139,34 @@ def _parse_vector(line: str) -> np.ndarray:
         raise ValueError("not a numeric vector") from None
 
 
-def _parse_vectors(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """Line-delimited vectors, space-separated decimals: their line numbers and array."""
+def _decode_vectors(text: str) -> tuple[list[int], np.ndarray] | None:
+    """The line numbers and array of `text` when np.loadtxt reads each non-blank
+    line as one row of equal width; None where it cannot (ragged rows, `1_0`,
+    non-ASCII digits, ...), which the per-line path then reads or names."""
+    lines = text.splitlines()
+    line_nos = [n for n, line in enumerate(lines, start=1) if line.strip()]
+    if not line_nos:  # loadtxt warns on input without data
+        return None
+    try:
+        arr = np.loadtxt([lines[n - 1] for n in line_nos], dtype=np.float64,
+                         comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return (line_nos, arr) if len(arr) == len(line_nos) else None
+
+
+def _vectors_by_line(text: str) -> tuple[tuple[int, ...], np.ndarray]:
+    """The line numbers and array of `text`, read by _parse_vector line by line."""
     line_nos, rows = zip(*_nonblank(text, _parse_vector, "vectors"))
     odd = next((n for n, row in zip(line_nos, rows) if len(row) != len(rows[0])), None)
     if odd is not None:
         raise line_error(odd, "inconsistent vector dimensions")
-    arr = np.asarray(rows, dtype=np.float64)
+    return line_nos, np.asarray(rows, dtype=np.float64)
+
+
+def _parse_vectors(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Line-delimited vectors, space-separated decimals: their line numbers and array."""
+    line_nos, arr = _decode_vectors(text) or _vectors_by_line(text)
     finite = np.isfinite(arr).all(axis=1)
     if not finite.all():
         raise line_error(line_nos[int(np.argmin(finite))], "non-finite value")

@@ -1,10 +1,17 @@
 """Line-oriented input, dataset manifest parsing and WAV loading.
 
-Every line-oriented input format is read through ``parse_lines``: blank and
-whitespace-only lines are skipped, lines are numbered from 1, and a fault
-in one line is a ValueError reading ``line N: <message>``, or ``line N:
-missing key 'k'`` for a KeyError. ``unique_ids`` rejects an id seen twice,
-naming both lines.
+Every line-oriented input format is defined by its per-line parser, run
+through ``parse_lines``: blank and whitespace-only lines are skipped, lines
+are numbered from 1, and a fault in one line is a ValueError reading ``line
+N: <message>``, or ``line N: missing key 'k'`` for a KeyError.
+``unique_ids`` rejects an id seen twice, naming both lines.
+
+Decode by column, diagnose by line: a manifest is first decoded whole into
+columns by ``_decode_manifest``, which accepts only a strict subset of valid
+manifests (string labels, ``vad`` a list of three JSON numbers in the unit
+cube, unique ids) and gives the same columns on it. Any other input, and
+every fault, goes through the per-line parser, so the accepted syntax, the
+values read and every diagnostic are those of ``_parse_record``.
 
 Every JSON input (manifest, EASV and prosody lines, model files) is decoded
 by ``json_object`` and read through ``label_field``, ``number_field`` and
@@ -33,8 +40,10 @@ import io
 import json
 import math
 import wave
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -150,14 +159,25 @@ def _coerce_text(source) -> str:
     raise TypeError(f"unsupported manifest source type {type(source)!r}")
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector: a parse keeps all it builds, so
+    collections during it would free nothing."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def parse_lines(text: str, parse_line) -> list[tuple[int, object]]:
     """(line number, parse_line(line)) for each non-blank line, numbered from 1;
     a ValueError from parse_line is raised again as `line N: <message>`, and a
     KeyError as `line N: missing key 'k'`."""
     numbered = []
-    collecting = gc.isenabled()
-    gc.disable()  # a parse keeps all it builds: collections here would free nothing
-    try:
+    with _collector_paused():
         for line_no, line in enumerate(text.splitlines(), start=1):
             if line.strip():
                 try:
@@ -166,9 +186,6 @@ def parse_lines(text: str, parse_line) -> list[tuple[int, object]]:
                     raise line_error(line_no, exc) from exc
                 except KeyError as exc:
                     raise line_error(line_no, f"missing key {exc}") from exc
-    finally:
-        if collecting:
-            gc.enable()
     return numbered
 
 
@@ -265,17 +282,59 @@ def _parse_record(line: str) -> tuple[str, tuple]:
     return rec_id, (rec_id, speaker, emotion, vad, audio_path, *embeddings)
 
 
-def parse_manifest(source, neutral_label: str = "neutral") -> DatasetManifest:
-    """Parse a line-delimited manifest from bytes, text, a path, or a stream;
-    a malformed record, a VAD component outside [0, 1] or a duplicate id is a
-    ValueError naming its line."""
-    numbered = parse_lines(_coerce_text(source), _parse_record)
+def _decode_manifest(text: str) -> tuple | None:
+    """The id-sorted columns of `text` when every record is in the strict
+    subset read here: string labels, a list of three JSON numbers for `vad`,
+    VAD points in the unit cube and unique ids. None for anything else,
+    which the per-line path then reads or names."""
+    with _collector_paused():
+        try:
+            objs = [json.loads(line) for line in text.splitlines() if line.strip()]
+        except (ValueError, RecursionError):
+            return None
+        if not all(type(obj) is dict for obj in objs):
+            return None
+        ids, speakers, emotions, vads, audio_paths = (
+            [obj.get(key) for obj in objs]
+            for key in ("id", "speaker", "emotion", "vad", "audio_path"))
+        if (not {str}.issuperset(map(type, ids + speakers + emotions)) or not all(ids)
+                or not {str, type(None)}.issuperset(map(type, audio_paths))
+                or not {list}.issuperset(map(type, vads)) or not {3}.issuperset(map(len, vads))
+                or not _JSON_NUMBER.issuperset(map(type, chain.from_iterable(vads)))):
+            return None
+        try:
+            vad = np.array(vads, dtype=np.float64).reshape(-1, 3)
+            check_in_cube(vad)  # which also rejects NaN and infinities
+            embeddings = [[None if obj.get(key) is None else tuple(number_list(obj, key))
+                           for obj in objs] for key in _EMBEDDINGS]
+        except (ValueError, OverflowError):  # OverflowError: an integer beyond the float range
+            return None
+        if () in embeddings[0] or () in embeddings[1] or len(set(ids)) < len(ids):
+            return None
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    return (*(tuple(map(column.__getitem__, order))
+              for column in (ids, speakers, emotions)),
+            vad[order],
+            *(tuple(map(column.__getitem__, order)) for column in (audio_paths, *embeddings)))
+
+
+def _manifest_by_line(text: str) -> tuple:
+    """The id-sorted columns of `text`, read by _parse_record line by line."""
+    numbered = parse_lines(text, _parse_record)
     try:
         check_in_cube(np.reshape([row[3] for _, (_, row) in numbered], (-1, 3)))
     except RowError as exc:
         raise line_error(numbered[exc.row][0], exc) from exc
     rows = unique_ids(numbered)
-    columns = zip(*(rows[k] for k in sorted(rows))) if rows else ((),) * 7
+    return tuple(zip(*(rows[k] for k in sorted(rows)))) if rows else ((),) * 7
+
+
+def parse_manifest(source, neutral_label: str = "neutral") -> DatasetManifest:
+    """Parse a line-delimited manifest from bytes, text, a path, or a stream;
+    a malformed record, a VAD component outside [0, 1] or a duplicate id is a
+    ValueError naming its line."""
+    text = _coerce_text(source)
+    columns = _decode_manifest(text) or _manifest_by_line(text)
     return DatasetManifest(*columns, neutral_label=neutral_label)
 
 

@@ -438,6 +438,16 @@ def test_metrics_zero_norm_embedding_names_file_and_line(tmp_path, capsys, bad_f
     assert capsys.readouterr().err == f"error: {paths[bad_flag]}: line {bad_line}: {message}\n"
 
 
+@pytest.mark.parametrize("text", ["", "\n \n\t\n"], ids=["empty", "blank-lines"])
+def test_metrics_vector_file_without_vectors(tmp_path, capsys, text):
+    emb = tmp_path / "emb.txt"
+    emb.write_text(text)
+    other = tmp_path / "other.txt"
+    other.write_text("1 0\n")
+    assert run(["metrics", "--emb-a", str(emb), "--emb-b", str(other)]) == 1
+    assert capsys.readouterr().err == f"error: {emb}: no vectors found\n"
+
+
 def test_metrics_embeddings_labels(tmp_path, capsys):
     emb_a = tmp_path / "a.txt"
     emb_b = tmp_path / "b.txt"

@@ -9,17 +9,28 @@ label or a path), so for them only the blank-line half is checked.
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import io
 import json
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vadsphere import parse_manifest
-from vadsphere.cli import _parse_pair, _parse_prosody_line, _parse_vectors, _stripped_lines, run
+from vadsphere import cli, manifest, parse_manifest
+from vadsphere.cli import (
+    _parse_pair,
+    _parse_prosody_line,
+    _parse_vad_points,
+    _parse_vectors,
+    _stripped_lines,
+    run,
+)
 from vadsphere.manifest import parse_lines, unique_ids
 from vadsphere.pipeline import easv_set_from_jsonl
 from vadsphere.prosody import track_from_text
@@ -187,3 +198,221 @@ def test_blank_lines_and_line_numbers(fmt, data, companions, tmp_path_factory):
     code, err = _run(fmt.argv(str(path), companions))
     assert code == 1, err
     assert f"error: {path}: line {positions[i]}: " in err
+
+
+# --- columns-first decoders against the per-line path ------------------------
+#
+# Vector files and manifests are decoded whole into columns; only input the
+# decoder does not take goes through the per-line parser. The tests below turn
+# the decoders off to get the per-line result, and require the same values,
+# line numbers, diagnostics and CLI output either way.
+
+_UNICODE_SPACE = ["\t", "\x0b", "\x1f", "\xa0", "\u2000", "\u3000"]
+_LINE_BREAK = ["\n", "\r\n", "\r", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"]
+_ODD_NUMBER = ["1_0", "\u0661", "\u0663.5", "\uff11", "nan", "-inf", "Infinity", "1e400",
+               "-1e400", "#", "#1", "1#", "0x10", "+3", ".5", "-0", "1e", "abc", "1,2", "\x00"]
+
+
+@contextlib.contextmanager
+def _per_line_only():
+    """Turn the columns-first decoders off: every input takes the per-line path."""
+    with mock.patch.object(cli, "_decode_vectors", lambda text: None), \
+            mock.patch.object(manifest, "_decode_manifest", lambda text: None):
+        yield
+
+
+def _both_ways(parse, text):
+    """parse(text) with the decoders on, then off; a ValueError as its message."""
+    def outcome():
+        try:
+            return parse(text)
+        except ValueError as exc:
+            return str(exc)
+    fast = outcome()
+    with _per_line_only():
+        return fast, outcome()
+
+
+def _cli_both_ways(argv: list[str]) -> tuple:
+    def outcome():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+            code = run(argv)
+        return code, out.getvalue(), err.getvalue()
+    fast = outcome()
+    with _per_line_only():
+        return fast, outcome()
+
+
+@st.composite
+def _vector_texts(draw):
+    """Rows of equal width, then up to two faults: an odd token, a row one
+    token short or long, a blank line; separators and line breaks vary."""
+    dim = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(_finite.map(repr) | st.integers(-99, 99).map(str),
+                                  min_size=dim, max_size=dim), max_size=5))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(rows)))
+        fault = draw(st.sampled_from(["token", "short", "long", "blank"]))
+        if fault == "blank" or at == len(rows):
+            rows.insert(at, [draw(st.sampled_from(["", " ", "\t", "\xa0 ", "\u3000"]))])
+        elif fault == "token":
+            rows[at][draw(st.integers(0, len(rows[at]) - 1))] = draw(st.sampled_from(_ODD_NUMBER))
+        elif fault == "short":
+            rows[at] = rows[at][1:] or ["1", "2"]
+        else:
+            rows[at] = rows[at] + ["1"]
+    gap = st.sampled_from([" "] * 4 + ["  ", *_UNICODE_SPACE])
+    lines = [draw(st.sampled_from(["", "", " ", "\t"]))
+             + "".join(token + draw(gap) for token in row) for row in rows]
+    text = "".join(line + draw(st.sampled_from(["\n"] * 4 + _LINE_BREAK)) for line in lines)
+    return text[:-1] if text and draw(st.booleans()) else text
+
+
+def _assert_vectors_same_both_ways(text: str, path: Path) -> None:
+    """The decoded vector and VAD files, and the CLI's output, equal the per-line path's."""
+    for parse in (_parse_vectors, _parse_vad_points):
+        fast, slow = _both_ways(parse, text)
+        if isinstance(slow, str):
+            assert fast == slow
+        else:
+            (fast_lines, fast_arr), (slow_lines, slow_arr) = fast, slow
+            assert fast_lines.tolist() == slow_lines.tolist()
+            assert fast_arr.shape == slow_arr.shape
+            assert fast_arr.tobytes() == slow_arr.tobytes()
+    path.write_bytes(text.encode("utf-8"))
+    for argv in (["metrics", "--emb-a", str(path), "--emb-b", str(path)],
+                 ["svas", "--synth", str(path), "--ref", str(path), "--center", "0.5,0.5,0.4"]):
+        fast, slow = _cli_both_ways(argv)
+        assert fast == slow
+
+
+@pytest.fixture(scope="module")
+def input_path(tmp_path_factory) -> Path:
+    """One file path, rewritten by each example."""
+    return tmp_path_factory.mktemp("decoders") / "input.txt"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_vector_texts())
+def test_vector_decoder_matches_per_line_path(text, input_path):
+    _assert_vectors_same_both_ways(text, input_path)
+
+
+@pytest.mark.parametrize("token", _ODD_NUMBER)
+def test_vector_decoder_matches_per_line_path_on_each_odd_token(token, tmp_path):
+    for text in (f"{token}\n", f"0.5 0.25 0.5\n\n0.5 {token} 0.5\n0.1 0.2 0.3\n"):
+        _assert_vectors_same_both_ways(text, tmp_path / "input.txt")
+
+
+_BIG = 10 ** 401  # a JSON integer beyond the float range
+# (key, odd value): each replaces one field of one record; "dup" repeats another id
+_MANIFEST_FAULTS = [
+    *(("id", v) for v in ("", 3, True, None, _BIG, "dup")),
+    *((key, v) for key in ("speaker", "emotion") for v in (3, -2.5, True, None, [], _BIG)),
+    *(("vad", v) for v in ([0.5, 0.5], [0.5] * 4, [True, 0.5, 0.5], ["0.5", 0, 0],
+                           [_BIG, 0, 0], [1.5, 0, 0], [0, -0.5, 0], [0, 0, 2],
+                           [float("nan"), 0, 0], None, "0.5")),
+    *(("audio_path", v) for v in (1, [], True)),
+    *((key, v) for key in ("emo_embedding", "spk_embedding")
+      for v in ([], [True], ["1"], [_BIG], [float("inf")], 1, "x")),
+]
+
+
+@st.composite
+def _manifest_texts(draw):
+    """Valid records, then up to two faults: an odd field value, a missing
+    key, or a line that is no JSON object; in any order, line breaks vary."""
+    label = st.sampled_from(["neutral", "happy", "sad", "é", "x\x00"])
+    embedding = st.none() | st.lists(_finite, min_size=1, max_size=3)
+    records = []
+    for k in range(draw(st.integers(0, 5))):
+        obj = {"id": f"u{k}", "speaker": draw(label), "emotion": draw(label),
+               "vad": list(draw(st.tuples(_unit, _unit.map(lambda x: round(x, 3)),
+                                          st.sampled_from([0, 1, 0.5]))))}
+        for key, value in (("audio_path", st.sampled_from(["a.wav", None])),
+                           ("emo_embedding", embedding), ("spk_embedding", embedding)):
+            if draw(st.booleans()):
+                obj[key] = draw(value)
+        records.append(obj)
+    lines = [json.dumps(obj) for obj in records]
+    for _ in range(draw(st.integers(0, 2)) if records else 0):
+        at = draw(st.integers(0, len(records) - 1))
+        fault = draw(st.sampled_from(["field"] * 4 + ["missing", "line"]))
+        if fault == "field":
+            key, value = draw(st.sampled_from(_MANIFEST_FAULTS))
+            records[at][key] = records[at - 1]["id"] if value == "dup" else value
+            lines[at] = json.dumps(records[at])
+        elif fault == "missing":
+            del records[at][draw(st.sampled_from(["id", "speaker", "emotion", "vad"]))]
+            lines[at] = json.dumps(records[at])
+        else:
+            lines[at] = draw(st.sampled_from(["not json", "[1, 2]", "null", "{"]))
+    lines = draw(st.permutations(lines))  # ids out of order
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\t"])))
+    return "".join(line + draw(st.sampled_from(["\n"] * 4 + _LINE_BREAK)) for line in lines)
+
+
+def _assert_manifest_same_both_ways(text: str, path: Path, companions) -> None:
+    """The parsed manifest, and the CLI's output, equal the per-line path's."""
+    fast, slow = _both_ways(parse_manifest, text)
+    assert fast == slow
+    if not isinstance(slow, str):
+        assert fast.vad.tobytes() == slow.vad.tobytes()
+    path.write_bytes(text.encode("utf-8"))
+    fast, slow = _cli_both_ways(["svas", "--synth", companions["vad"], "--ref", companions["vad"],
+                                 "--manifest", str(path)])
+    assert fast == slow
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_manifest_texts())
+def test_manifest_decoder_matches_per_line_path(text, input_path, companions):
+    _assert_manifest_same_both_ways(text, input_path, companions)
+
+
+@pytest.mark.parametrize("key, value", [*_MANIFEST_FAULTS, *(
+    ("missing", key) for key in ("id", "speaker", "emotion", "vad"))])
+def test_manifest_decoder_matches_per_line_path_on_each_fault(key, value, tmp_path, companions):
+    records = [{"id": f"u{k}", "speaker": "s", "emotion": emotion, "vad": [0.5, 0.25, 1]}
+               for k, emotion in enumerate(["neutral", "happy", "neutral"])]
+    if key == "missing":
+        del records[1][value]
+    else:
+        records[1][key] = records[0]["id"] if value == "dup" else value
+    text = "".join(json.dumps(obj) + "\n" for obj in records)
+    _assert_manifest_same_both_ways(text, tmp_path / "manifest.jsonl", companions)
+
+
+def _load_workloads():
+    """perfbench/workloads.py, the generator of the benchmark's inputs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+@pytest.mark.parametrize("workload", ["vad-corpus", "many-emotions", "audio-prosody"])
+def test_benchmark_inputs_take_no_per_line_pass(workload, tmp_path, monkeypatch):
+    """The benchmark's manifests and vector files decode by column: were they
+    to fall back to the per-line parsers, their speed-up would be lost unseen."""
+    workloads = _load_workloads()
+    inputs = workloads.generate(workloads.WORKLOADS[workload].scaled(0.002), 1, tmp_path)
+
+    def no_per_line_pass(line):
+        raise AssertionError("per-line parser called")
+    monkeypatch.setattr(cli, "_parse_vector", no_per_line_pass)
+    monkeypatch.setattr(manifest, "_parse_record", no_per_line_pass)
+    assert len(parse_manifest(inputs.manifest)) == inputs.n_records
+    for path in (inputs.emb_a, inputs.emb_b, inputs.speaker_emb, inputs.emotion_emb):
+        _, arr = _parse_vectors(path.read_text(encoding="utf-8"))
+        assert arr.tolist() == workloads.load_matrix(path).tolist()
+    for path in (inputs.svas_synth, inputs.svas_ref):
+        _, arr = _parse_vad_points(path.read_text(encoding="utf-8"))
+        assert arr.tolist() == workloads.load_matrix(path).tolist()
