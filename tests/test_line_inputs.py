@@ -341,10 +341,12 @@ def _manifest_texts(draw):
         fault = draw(st.sampled_from(["field"] * 4 + ["missing", "line"]))
         if fault == "field":
             key, value = draw(st.sampled_from(_MANIFEST_FAULTS))
-            records[at][key] = records[at - 1]["id"] if value == "dup" else value
+            # an earlier fault may have deleted the id this one repeats
+            records[at][key] = records[at - 1].get("id", "") if value == "dup" else value
             lines[at] = json.dumps(records[at])
-        elif fault == "missing":
-            del records[at][draw(st.sampled_from(["id", "speaker", "emotion", "vad"]))]
+        elif fault == "missing" and (present := [key for key in ("id", "speaker", "emotion", "vad")
+                                                 if key in records[at]]):
+            del records[at][draw(st.sampled_from(present))]
             lines[at] = json.dumps(records[at])
         else:
             lines[at] = draw(st.sampled_from(["not json", "[1, 2]", "null", "{"]))
