@@ -11,9 +11,13 @@
 - ``yin_difference``: the squared difference function d(tau) of YIN
   (de Cheveigne & Kawahara 2002) for any batch of frames, via FFT
   correlation at the smallest 5-smooth length >= the frame (1350, not 2048,
-  for 1344). ``prosody.estimate_f0`` calls it on blocks of
-  ``prosody._F0_BLOCK`` frames; the benchmark's kernel timing passes a
-  whole utterance.
+  for 1344). d is a sum over the window, so d over a window equals the sum
+  of d over consecutive sub-windows of it, each with its own tau_max tail.
+  ``prosody.estimate_f0`` relies on that: it calls the kernel on blocks of
+  ``prosody._F0_BLOCK`` hop-strided sub-window rows (576 samples at 16 kHz
+  and the default hop) and on the remainder rows, and sums each frame's
+  rows. The benchmark's kernel timing and the tests call it on whole
+  frames.
 
 ``centroid`` and ``prosody`` call them as ``_kernels.<name>``, so wrapping a
 module attribute reaches every call; the traced benchmark run counts
@@ -88,11 +92,15 @@ def yin_difference(frames: np.ndarray, window: int, tau_max: int) -> np.ndarray:
     # `full * conj(head)`, numpy reuses the conj temporary from 256 KiB up and
     # swaps the operands, and the complex product rounds differently, so a
     # frame's bits would depend on how many frames share the call
-    cross = np.conj(np.fft.rfft(frames[:, :window], n_fft, axis=1))
+    cross = np.fft.rfft(frames[:, :window], n_fft, axis=1)
+    np.conj(cross, out=cross)
     cross *= np.fft.rfft(frames, n_fft, axis=1)
     corr = np.fft.irfft(cross, n_fft, axis=1)[:, :tau_max + 1]
-    sq = frames ** 2
-    csum = np.concatenate([np.zeros((n_frames, 1)), np.cumsum(sq, axis=1)], axis=1)
-    energy = csum[:, window:window + tau_max + 1] - csum[:, :tau_max + 1]
-    d = energy[:, :1] + energy - 2.0 * corr
-    return np.maximum(d, 0.0)
+    csum = np.zeros((n_frames, frame_len + 1))
+    np.square(frames, out=csum[:, 1:])
+    np.cumsum(csum[:, 1:], axis=1, out=csum[:, 1:])
+    d = csum[:, window:window + tau_max + 1] - csum[:, :tau_max + 1]  # E(tau)
+    d += d[:, :1].copy()  # + E(0)
+    corr *= 2.0
+    d -= corr
+    return np.maximum(d, 0.0, out=d)

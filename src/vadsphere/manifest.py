@@ -245,9 +245,9 @@ def number_field(obj: dict, key: str) -> float:
     raise ValueError(f"{key} must be a finite number")
 
 
-def number_list(obj: dict, key: str) -> list[float]:
-    """obj[key] as floats: a JSON array of numbers, each by number_field's rule."""
-    values = obj[key]
+def number_list(values, key: str) -> list[float]:
+    """A JSON array of numbers, each by number_field's rule, as floats;
+    errors name the array `key`."""
     if type(values) is not list or not _JSON_NUMBER.issuperset(map(type, values)):
         raise ValueError(f"{key} must be an array of numbers")
     try:
@@ -260,6 +260,8 @@ def number_list(obj: dict, key: str) -> list[float]:
 
 
 _EMBEDDINGS = ("emo_embedding", "spk_embedding")
+# a manifest record's fields, in column order
+_COLUMNS = ("id", "speaker", "emotion", "vad", "audio_path", *_EMBEDDINGS)
 
 
 def _parse_record(line: str) -> tuple[str, tuple]:
@@ -269,10 +271,10 @@ def _parse_record(line: str) -> tuple[str, tuple]:
     if audio_path is not None and type(audio_path) is not str:
         raise ValueError("audio_path must be a string")
     rec_id, speaker, emotion = (label_field(obj, key) for key in ("id", "speaker", "emotion"))
-    vad = number_list(obj, "vad")
+    vad = number_list(obj["vad"], "vad")
     if len(vad) != 3:
         raise ValueError("vad must be a 3-element array")
-    embeddings = [None if obj.get(key) is None else tuple(number_list(obj, key))
+    embeddings = [None if obj.get(key) is None else tuple(number_list(obj[key], key))
                   for key in _EMBEDDINGS]
     if not rec_id:
         raise ValueError("record id must be non-empty")
@@ -288,15 +290,19 @@ def _decode_manifest(text: str) -> tuple | None:
     VAD points in the unit cube and unique ids. None for anything else,
     which the per-line path then reads or names."""
     with _collector_paused():
+        rows = []
         try:
-            objs = [json.loads(line) for line in text.splitlines() if line.strip()]
+            for line in text.splitlines():
+                if line.strip():
+                    obj = json.loads(line)
+                    if type(obj) is not dict:
+                        return None
+                    rows.append(tuple(map(obj.get, _COLUMNS)))  # and the dict is freed
         except (ValueError, RecursionError):
             return None
-        if not all(type(obj) is dict for obj in objs):
-            return None
-        ids, speakers, emotions, vads, audio_paths = (
-            [obj.get(key) for obj in objs]
-            for key in ("id", "speaker", "emotion", "vad", "audio_path"))
+        ids, speakers, emotions, vads, audio_paths, *raw_embeddings = (
+            zip(*rows) if rows else ((),) * len(_COLUMNS))
+        del rows
         if (not {str}.issuperset(map(type, ids + speakers + emotions)) or not all(ids)
                 or not {str, type(None)}.issuperset(map(type, audio_paths))
                 or not {list}.issuperset(map(type, vads)) or not {3}.issuperset(map(len, vads))
@@ -305,8 +311,9 @@ def _decode_manifest(text: str) -> tuple | None:
         try:
             vad = np.array(vads, dtype=np.float64).reshape(-1, 3)
             check_in_cube(vad)  # which also rejects NaN and infinities
-            embeddings = [[None if obj.get(key) is None else tuple(number_list(obj, key))
-                           for obj in objs] for key in _EMBEDDINGS]
+            embeddings = [[None if values is None else tuple(number_list(values, key))
+                           for values in column]
+                          for key, column in zip(_EMBEDDINGS, raw_embeddings)]
         except (ValueError, OverflowError):  # OverflowError: an integer beyond the float range
             return None
         if () in embeddings[0] or () in embeddings[1] or len(set(ids)) < len(ids):

@@ -275,7 +275,7 @@ def model_from_json(text: str) -> EasvModel:
             where = f"centroids[{emotion!r}]: "
             objective = object_value(entry, "entry").get("objective")
             centroids[emotion] = Centroid(
-                point=tuple(number_list(entry, "point")),
+                point=tuple(number_list(entry["point"], "point")),
                 objective=None if objective is None else number_field(entry, "objective"))
         bounds = {}
         for emotion, entry in bound_entries.items():

@@ -1,14 +1,25 @@
 """Pitch, energy, and duration extraction plus prosodic error metrics.
 
 Pitch uses the YIN difference function (de Cheveigne & Kawahara, 2002).
-Frames go through in blocks of `_F0_BLOCK` rows, one 5-smooth-length FFT
-correlation per block: the block's (rows x lags) cumulative-mean-normalized
-difference d'(tau) is searched, all rows at once, for the first dip under
-the aperiodicity threshold (falling back to the global minimum), refined by
-parabolic interpolation; only the per-frame dip depth and refined lag
-outlive the block. The dip depth doubles as the voicing decision: a frame
-is voiced when its best d' value is below the threshold, and periodicity is
-reported as 1 - d'.
+d(tau) is a sum over the window, so a frame's d is the sum of the d of its
+sub-windows: with sub-windows of `hop` samples and q, r = divmod(window, hop),
+
+    d_f(tau) = sum over c < q of D_hop[f + c](tau) + D_r[f + q](tau),
+
+where D_hop[k] is d over the `hop` samples from k * hop (a row of
+hop + tau_max samples, 576 at 16 kHz and the default hop) and D_r the same
+over the r-sample remainder, present only when r > 0. Each sub-window row
+is computed once, by one 5-smooth-length FFT correlation per block of
+`_F0_BLOCK` rows, and shared by the q frames that overlap it; with a hop
+under a quarter of the window, sub-windows span several hops so that
+neither the terms nor the FFT length grow without bound. Each block of
+frames' (rows x lags) cumulative-mean-normalized difference d'(tau) is then
+searched, all rows at once, for the first dip under the aperiodicity
+threshold (falling back to the global minimum), refined by parabolic
+interpolation; only the per-frame dip depth and refined lag outlive the
+block. The dip depth doubles as the voicing decision: a frame is voiced
+when its best d' value is below the threshold, and periodicity is reported
+as 1 - d'.
 
 Frame bookkeeping: energy frames are `window` samples advancing by `hop`;
 pitch frames need `window + tau_max` samples (the difference function
@@ -27,11 +38,15 @@ from .manifest import AudioBuffer, parse_lines
 
 MIN_SAMPLE_RATE = 8000
 
-# Frames per yin_difference call. A block's (rows x n_fft) FFT temporaries,
-# about 0.5 MB at 16 kHz, stay cache-resident and reuse freed memory; with
-# whole utterances, and in some runs with 64-row blocks, every call takes
-# fresh pages, and page faults cost more system time than the FFTs take.
+# Sub-window rows per yin_difference call. A block's (rows x n_fft) FFT
+# temporaries, about 0.2 MB each at 16 kHz, stay cache-resident and reuse
+# freed memory; with whole utterances every call takes fresh pages, and page
+# faults cost more system time than the FFTs take.
 _F0_BLOCK = 48
+
+# Sub-windows a frame's difference function is summed from, at most: with a
+# hop under a quarter of the window, sub-windows span several hops.
+_MAX_TERMS = 4
 
 
 @dataclass(frozen=True)
@@ -124,12 +139,56 @@ def _select_lags(cm: np.ndarray, tau_min: int, threshold: float) -> np.ndarray:
     return tau_min + lag
 
 
-def _yin_block(frames: np.ndarray, cfg: F0Config, tau_min: int,
+def _sub_windows(window: int, hop: int) -> tuple[int, int, int]:
+    """(hops per sub-window, sub-windows per frame, remainder length): a
+    window split into at most _MAX_TERMS sub-windows of a whole number of
+    hops, so every sub-window starts on a frame boundary."""
+    step = -(-window // (hop * _MAX_TERMS))
+    terms, rest = divmod(window, step * hop)
+    return step, terms, rest
+
+
+def _difference_blocks(x: np.ndarray, n_frames: int, window: int, hop: int,
+                       tau_max: int):
+    """d(tau) of frames 0 .. n_frames - 1 in consecutive blocks of rows.
+
+    YIN's d is a sum over the window, so a frame's d is the sum of the d of
+    its sub-windows. Sub-window rows start every hop, as frames do, and each
+    is shared by up to `terms` frames: it is computed once, in blocks of
+    _F0_BLOCK rows, and kept until the last frame that needs it is summed.
+    The summation order is fixed, so the result does not depend on the block
+    size.
+    """
+    step, terms, rest = _sub_windows(window, hop)
+    sub = step * hop
+    span = (terms - 1) * step  # rows a frame reaches past its first
+    view = np.lib.stride_tricks.sliding_window_view
+    rows = view(x, sub + tau_max)[::hop][:n_frames + span]
+    tails = view(x[terms * sub:], rest + tau_max)[::hop] if rest else None
+    held = np.empty((0, tau_max + 1))
+    done = 0  # frames yielded; held[0] is row `done`
+    for lo in range(0, len(rows), _F0_BLOCK):
+        fresh = _kernels.yin_difference(rows[lo:lo + _F0_BLOCK], sub, tau_max)
+        held = np.concatenate([held, fresh]) if len(held) else fresh
+        ready = min(lo + len(fresh) - span, n_frames) - done
+        if ready <= 0:
+            continue
+        d = held[:ready].copy()
+        for c in range(1, terms):
+            d += held[c * step:c * step + ready]
+        if rest:
+            d += _kernels.yin_difference(tails[done:done + ready], rest, tau_max)
+        held = held[ready:]
+        done += ready
+        yield d
+
+
+def _yin_block(diff: np.ndarray, cfg: F0Config, tau_min: int,
                tau_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per frame of one block: the aperiodicity, d' at the selected lag clipped
-    to [0, 1], and that lag refined by a parabola through tau - 1, tau, tau + 1
-    (none at tau_max or on a flat line)."""
-    cm = _cmndf(_kernels.yin_difference(frames, cfg.window, tau_max))
+    """Per frame of one block of d(tau) rows: the aperiodicity, d' at the
+    selected lag clipped to [0, 1], and that lag refined by a parabola
+    through tau - 1, tau, tau + 1 (none at tau_max or on a flat line)."""
+    cm = _cmndf(diff)
     tau = _select_lags(cm, tau_min, cfg.aperiodicity_threshold)
     rows = np.arange(len(cm))
     y0, y1, y2 = cm[rows, tau - 1], cm[rows, tau], cm[rows, np.minimum(tau + 1, tau_max)]
@@ -163,9 +222,9 @@ def estimate_f0(audio: AudioBuffer, cfg: F0Config | None = None) -> F0Track:
             f"audio too short for pitch analysis: need {frame_len} samples "
             f"(window plus two periods of f_min), got {x.size}")
 
-    frames = np.lib.stride_tricks.sliding_window_view(x, frame_len)[::cfg.hop]
-    blocks = [_yin_block(frames[lo:lo + _F0_BLOCK], cfg, tau_min, tau_max)
-              for lo in range(0, len(frames), _F0_BLOCK)]
+    n_frames = (x.size - frame_len) // cfg.hop + 1
+    blocks = [_yin_block(d, cfg, tau_min, tau_max)
+              for d in _difference_blocks(x, n_frames, cfg.window, cfg.hop, tau_max)]
     aperiodicity, lag = (np.concatenate(part) for part in zip(*blocks))
     voiced = aperiodicity < cfg.aperiodicity_threshold
     refined = np.clip(lag, tau_min, tau_max)

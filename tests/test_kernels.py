@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vadsphere import _kernels
 
@@ -46,6 +48,22 @@ def test_yin_difference_rows_do_not_depend_on_the_batch():
         parts = [_kernels.yin_difference(frames[lo:lo + rows], 1024, 320)
                  for lo in range(0, len(frames), rows)]
         assert np.array_equal(np.concatenate(parts), whole), rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(window=st.integers(2, 400), hop_fraction=st.floats(0.0, 1.0),
+       tau_max=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([1e-6, 1.0, 1e3]))
+def test_yin_difference_is_the_sum_over_hop_chunks(window, hop_fraction, tau_max, seed, scale):
+    # d over a window is the sum of d over its hop-long chunks and the remainder
+    hop = max(1, round(hop_fraction * window))
+    frame = np.random.default_rng(seed).normal(0, scale, (1, window + tau_max))
+    whole = _kernels.yin_difference(frame, window, tau_max)
+    q, r = divmod(window, hop)
+    heads = [(c * hop, hop) for c in range(q)] + ([(q * hop, r)] if r else [])
+    chunked = sum(_kernels.yin_difference(frame[:, lo:lo + head + tau_max], head, tau_max)
+                  for lo, head in heads)
+    assert np.abs(chunked - whole).max() <= 1e-12 * whole.max()
 
 
 def test_fft_length_is_smallest_five_smooth():

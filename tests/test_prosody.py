@@ -17,7 +17,7 @@ from vadsphere import (
     rmse_period,
     utterance_prosody,
 )
-from vadsphere import _kernels
+from vadsphere import _kernels, prosody
 from vadsphere.prosody import _F0_BLOCK, _cmndf, _select_lags, track_from_text
 
 from conftest import sine_samples, track_to_text
@@ -189,6 +189,62 @@ def test_estimate_f0_blocks_match_whole_utterance(sr, n_frames):
     assert np.abs(track.periodicity - periodicity).max() <= 1e-12
     if n_frames > _F0_BLOCK:  # the signal crosses voiced and unvoiced blocks
         assert voiced.any() and not voiced.all()
+
+
+def _tone_silence_noise(n, sr, seed):
+    """n samples: 40% 220 Hz tone, 30% silence, then noise."""
+    tone, silence = (4 * n) // 10, (3 * n) // 10
+    return np.concatenate([
+        sine_samples(220.0, tone / sr, sr)[:tone], np.zeros(silence),
+        np.random.default_rng(seed).uniform(-0.5, 0.5, n - tone - silence)])
+
+
+# (window, hop, frames): windows that are no multiple of the hop, hop ==
+# window, and hop 1, whose sub-windows span several hops
+_CONFIGS = [(1000, 300, 3 * _F0_BLOCK + 5), (777, 100, 3 * _F0_BLOCK + 5),
+            (1024, 1024, 2 * _F0_BLOCK + 3), (1024, 1000, 2 * _F0_BLOCK + 3),
+            (1024, 1, 700)]
+
+
+@pytest.mark.parametrize("sr", [8000, 16000, 48000])
+@pytest.mark.parametrize("window, hop, n_frames", _CONFIGS)
+def test_estimate_f0_sub_windows_match_whole_frames(sr, window, hop, n_frames):
+    cfg = F0Config(window=window, hop=hop)
+    n = window + math.ceil(sr / cfg.f_min) + (n_frames - 1) * hop
+    audio = _audio(_tone_silence_noise(n, sr, n_frames), sr)
+    track = estimate_f0(audio, cfg)
+    f0, voiced, periodicity = _whole_utterance_f0(audio, cfg)
+    assert len(track) == n_frames
+    assert np.array_equal(track.voiced, voiced)
+    assert np.abs(track.f0_hz - f0).max() <= 1e-9
+    assert np.abs(track.periodicity - periodicity).max() <= 1e-12
+    assert voiced.any() and not voiced.all()
+
+
+@pytest.mark.parametrize("window, hop, n_frames", [(1024, 256, 3 * _F0_BLOCK + 5), *_CONFIGS])
+def test_estimate_f0_does_not_depend_on_the_block_size(monkeypatch, window, hop, n_frames):
+    # a frame's sub-window rows can fall in two blocks, or in more
+    cfg = F0Config(window=window, hop=hop)
+    n = window + math.ceil(16000 / cfg.f_min) + (n_frames - 1) * hop
+    audio = _audio(_tone_silence_noise(n, 16000, n_frames), 16000)
+    tracks = []
+    for block in (1, 7, _F0_BLOCK, 10 ** 6):
+        monkeypatch.setattr(prosody, "_F0_BLOCK", block)
+        track = estimate_f0(audio, cfg)
+        tracks.append((track.f0_hz.tobytes(), track.voiced.tobytes(),
+                       track.periodicity.tobytes()))
+    assert tracks.count(tracks[0]) == len(tracks)
+
+
+@pytest.mark.parametrize("window", [2, 3, 100, 777, 1000, 1024, 4096])
+def test_sub_windows_tile_the_window(window):
+    for hop in {min(h, window) for h in (1, 2, 3, window // 5, window // 4, window // 3,
+                                         window - 1, window) if h >= 1}:
+        step, terms, rest = prosody._sub_windows(window, hop)
+        assert 1 <= terms <= prosody._MAX_TERMS
+        assert 0 <= rest < step * hop
+        assert terms * step * hop + rest == window
+        assert step == 1 or window > prosody._MAX_TERMS * hop
 
 
 def test_estimate_f0_validation():
