@@ -3,8 +3,12 @@
 One executable, eight subcommands: fit, extract, control-vec, svas,
 metrics, prosody, analyze, pair-acc. Outputs are byte-deterministic for
 fixed inputs. Exit codes: 0 success, 1 input or validation error
-(one-line diagnostic on stderr), 2 internal failure. Nothing is written to
-an --out path unless the whole computation succeeded.
+(one-line diagnostic on stderr), 2 internal failure.
+
+Each handler computes its whole result and returns it as text, lines that
+each end in a newline; only `run` writes it, to stdout or to the --out path
+that every subcommand takes. Nothing is written to an --out path unless the
+whole computation succeeded.
 
 Vector and VAD files are decoded by column and diagnosed by line: the whole
 file goes through np.loadtxt, and only a file it cannot read as equal rows
@@ -30,13 +34,13 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import build_report, render_report
-from .centroid import SolverConfig
 from .geometry import Centroid, RowError, StyleOctant, check_in_cube, neutral_center
 from .manifest import (
     json_object,
     label_field,
     line_error,
     number_field,
+    numbered_lines,
     parse_lines,
     parse_manifest,
     read_wav,
@@ -74,6 +78,9 @@ class _CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kwargs):
+        super().__init__(*args, formatter_class=formatter_class, **kwargs)
+
     def error(self, message):  # exit 1 instead of argparse's default 2
         raise _CliError(message)
 
@@ -143,13 +150,11 @@ def _decode_vectors(text: str) -> tuple[list[int], np.ndarray] | None:
     """The line numbers and array of `text` when np.loadtxt reads each non-blank
     line as one row of equal width; None where it cannot (ragged rows, `1_0`,
     non-ASCII digits, ...), which the per-line path then reads or names."""
-    lines = text.splitlines()
-    line_nos = [n for n, line in enumerate(lines, start=1) if line.strip()]
+    line_nos, lines = numbered_lines(text)
     if not line_nos:  # loadtxt warns on input without data
         return None
     try:
-        arr = np.loadtxt([lines[n - 1] for n in line_nos], dtype=np.float64,
-                         comments=None, ndmin=2)
+        arr = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
     except ValueError:
         return None
     return (line_nos, arr) if len(arr) == len(line_nos) else None
@@ -214,38 +219,41 @@ def _parse_intensity(raw: str) -> float:
     return value
 
 
+def _tsv(rows) -> str:
+    """One `name<TAB>repr(value)` line per (name, value) row."""
+    return "".join(f"{name}\t{value!r}\n" for name, value in rows)
+
+
 def _f0_config(args) -> F0Config:
     return F0Config(f_min=args.f_min, f_max=args.f_max, window=args.window,
                     hop=args.hop, aperiodicity_threshold=args.threshold)
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: compute fully, then return (text, out_path)
+# subcommand handlers: compute fully, then return the text to write
 # ---------------------------------------------------------------------------
 
-def _cmd_fit(args) -> tuple[str, str | None]:
+def _cmd_fit(args) -> str:
     manifest = _parse_file(args.manifest, parse_manifest, args.neutral_label)
-    cfg = SolverConfig(denominator_epsilon=args.denominator_epsilon)
-    model = fit_easv_model(manifest, cfg)
-    return model_to_json(model, cfg), args.out
+    return model_to_json(fit_easv_model(manifest))
 
 
-def _cmd_extract(args) -> tuple[str, str | None]:
+def _cmd_extract(args) -> str:
     model = _parse_file(args.model, model_from_json)
     manifest = _parse_file(args.manifest, parse_manifest, model.neutral_label)
     easvs = extract_easv_set(manifest, model)
-    return easv_set_to_jsonl(easvs), args.out
+    return easv_set_to_jsonl(easvs)
 
 
-def _cmd_control_vec(args) -> tuple[str, str | None]:
+def _cmd_control_vec(args) -> str:
     octant = StyleOctant.from_tag(args.octant)
     easv = make_control_vector(args.emotion, octant, _parse_intensity(args.intensity))
     obj = {"emotion": args.emotion, "octant": octant.tag, "r_iqr": float(easv.r_iqr[0]),
            "theta": float(easv.theta[0]), "phi": float(easv.phi[0])}
-    return json.dumps(obj) + "\n", args.out
+    return json.dumps(obj) + "\n"
 
 
-def _cmd_svas(args) -> tuple[str, str | None]:
+def _cmd_svas(args) -> str:
     synth_lines, synth = _parse_file(args.synth, _parse_vad_points)
     ref_lines, ref = _parse_file(args.ref, _parse_vad_points)
     if args.center is not None:
@@ -266,22 +274,21 @@ def _cmd_svas(args) -> tuple[str, str | None]:
         scores = svas(synth, ref, center)
     except RowError as exc:
         raise _row_fault(exc, (args.synth, synth_lines), (args.ref, ref_lines)) from exc
-    lines = [f"{i}\t{score!r}" for i, score in enumerate(scores.tolist())]
-    lines.append(f"mean\t{float(np.mean(scores))!r}")
-    return "\n".join(lines) + "\n", args.out
+    return _tsv([*enumerate(scores.tolist()), ("mean", float(np.mean(scores)))])
 
 
-def _cmd_metrics(args) -> tuple[str, str | None]:
+# the input flags of `metrics`, each given with its pair or not at all
+_METRIC_PAIRS = (("emb_a", "emb_b"), ("speaker_emb", "emotion_emb"),
+                 ("pred_labels", "ref_labels"), ("track_a", "track_b"))
+
+
+def _cmd_metrics(args) -> str:
+    for a, b in _METRIC_PAIRS:
+        if (getattr(args, a) is None) != (getattr(args, b) is None):
+            flag_a, flag_b = ("--" + dest.replace("_", "-") for dest in (a, b))
+            raise ValueError(f"{flag_a} and {flag_b} must be given together")
+
     results: list[tuple[str, float]] = []
-    if (args.emb_a is None) != (args.emb_b is None):
-        raise ValueError("--emb-a and --emb-b must be given together")
-    if (args.speaker_emb is None) != (args.emotion_emb is None):
-        raise ValueError("--speaker-emb and --emotion-emb must be given together")
-    if (args.pred_labels is None) != (args.ref_labels is None):
-        raise ValueError("--pred-labels and --ref-labels must be given together")
-    if (args.track_a is None) != (args.track_b is None):
-        raise ValueError("--track-a and --track-b must be given together")
-
     if args.emb_a is not None:
         values = _vector_files_metric(eecs, args.emb_a, args.emb_b)
         results.append(("eecs", float(np.mean(values))))
@@ -300,8 +307,7 @@ def _cmd_metrics(args) -> tuple[str, str | None]:
         results.append(("f1_vuv", f1_vuv(track_a, track_b)))
     if not results:
         raise ValueError("no metric inputs supplied; see `metrics --help`")
-    lines = [f"{name}\t{value!r}" for name, value in results]
-    return "\n".join(lines) + "\n", args.out
+    return _tsv(results)
 
 
 def _stats_line(rec_id: str, stats: ProsodyStats) -> str:
@@ -310,10 +316,10 @@ def _stats_line(rec_id: str, stats: ProsodyStats) -> str:
         "pitch_mean_hz": stats.pitch_mean_hz,
         "energy_mean": stats.energy_mean,
         "duration_s": stats.duration_s,
-    })
+    }) + "\n"
 
 
-def _cmd_prosody(args) -> tuple[str, str | None]:
+def _cmd_prosody(args) -> str:
     cfg = _f0_config(args)
     if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
@@ -337,8 +343,7 @@ def _cmd_prosody(args) -> tuple[str, str | None]:
 
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         computed = list(pool.map(work, jobs_input))
-    lines = [_stats_line(rec_id, stats) for rec_id, stats in computed]
-    return "\n".join(lines) + "\n", args.out
+    return "".join(_stats_line(rec_id, stats) for rec_id, stats in computed)
 
 
 def _parse_prosody_line(line: str) -> tuple[str, ProsodyStats]:
@@ -350,13 +355,13 @@ def _parse_prosody_line(line: str) -> tuple[str, ProsodyStats]:
         energy_mean=number_field(obj, "energy_mean"), duration_s=number_field(obj, "duration_s"))
 
 
-def _cmd_analyze(args) -> tuple[str, str | None]:
+def _cmd_analyze(args) -> str:
     manifest = _parse_file(args.manifest, parse_manifest, args.neutral_label)
     easvs = _parse_file(args.easv, easv_set_from_jsonl)
     prosody = _parse_file(args.prosody,
                           lambda text: unique_ids(parse_lines(text, _parse_prosody_line)))
     report = build_report(easvs, prosody, manifest)
-    return render_report(report, args.format), args.out
+    return render_report(report, args.format)
 
 
 def _parse_pair(line: str) -> tuple[float, float, bool]:
@@ -375,10 +380,9 @@ def _parse_pair(line: str) -> tuple[float, float, bool]:
     return r_low, r_high, flag in ("1", "true", "yes")
 
 
-def _cmd_pair_acc(args) -> tuple[str, str | None]:
+def _cmd_pair_acc(args) -> str:
     pairs = [pair for _, pair in _parse_file(args.pairs, _nonblank, _parse_pair, "pairs")]
-    acc = pair_order_accuracy(pairs)
-    return f"pair_order_accuracy\t{acc!r}\n", args.out
+    return _tsv([("pair_order_accuracy", pair_order_accuracy(pairs))])
 
 
 # ---------------------------------------------------------------------------
@@ -404,46 +408,34 @@ def build_parser() -> _Parser:
                                  "annotations: fitting, extraction, metrics, and "
                                  "prosody analysis reports.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    fmt = argparse.ArgumentDefaultsHelpFormatter
 
-    p = sub.add_parser("fit", formatter_class=fmt,
-                       help="fit per-emotion centroids and radius bounds from a manifest")
+    p = sub.add_parser("fit", help="fit per-emotion centroids and radius bounds from a manifest")
     p.add_argument("--manifest", required=True, help="input manifest (one JSON object per line)")
-    p.add_argument("--out", default=None, help="output model JSON path (default stdout)")
-    p.add_argument("--neutral-label", default="neutral", help="label of the neutral class")
-    p.add_argument("--denominator-epsilon", type=float,
-                   default=SolverConfig.denominator_epsilon,
-                   help="objective denominator guard")
     p.set_defaults(handler=_cmd_fit)
 
-    p = sub.add_parser("extract", formatter_class=fmt,
-                       help="extract spherical vectors for every manifest record")
+    p = sub.add_parser("extract", help="extract spherical vectors for every manifest record")
     p.add_argument("--manifest", required=True)
     p.add_argument("--model", required=True, help="model JSON produced by fit")
-    p.add_argument("--out", default=None, help="output EASV jsonl path (default stdout)")
     p.set_defaults(handler=_cmd_extract)
 
-    p = sub.add_parser("control-vec", formatter_class=fmt,
+    p = sub.add_parser("control-vec",
                        help="build a control vector from emotion, octant, and intensity")
     p.add_argument("--emotion", required=True)
     p.add_argument("--octant", required=True, help="style octant tag, I..VIII")
     p.add_argument("--intensity", required=True,
                    help="number in [0, 1] or one of weak/medium/strong")
-    p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_control_vec)
 
-    p = sub.add_parser("svas", formatter_class=fmt,
+    p = sub.add_parser("svas",
                        help="angle similarity between paired VAD files about a neutral center")
     p.add_argument("--synth", required=True, help="synthesized VAD file, 'v a d' per line")
     p.add_argument("--ref", required=True, help="reference VAD file, 'v a d' per line")
     center = p.add_mutually_exclusive_group(required=True)
     center.add_argument("--manifest", help="manifest whose neutral records define the center")
     center.add_argument("--center", help="explicit center as 'v,a,d'")
-    p.add_argument("--neutral-label", default="neutral")
-    p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_svas)
 
-    p = sub.add_parser("metrics", formatter_class=fmt,
+    p = sub.add_parser("metrics",
                        help="embedding/label/track metrics (EECS, orthogonality, ECA, "
                             "RMSE_f0, RMSE_period, F1 v/uv)")
     p.add_argument("--emb-a", default=None, help="embedding file, paired with --emb-b")
@@ -455,37 +447,35 @@ def build_parser() -> _Parser:
     p.add_argument("--ref-labels", default=None)
     p.add_argument("--track-a", default=None, help="predicted f0 track file")
     p.add_argument("--track-b", default=None, help="reference f0 track file")
-    p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_metrics)
 
-    p = sub.add_parser("prosody", formatter_class=fmt,
-                       help="per-utterance pitch/energy/duration stats from WAV files")
+    p = sub.add_parser("prosody", help="per-utterance pitch/energy/duration stats from WAV files")
     audio = p.add_mutually_exclusive_group(required=True)
     audio.add_argument("--manifest", help="manifest with audio_path entries (ids key the output)")
     audio.add_argument("--wav-list", help="file with one wav path per line")
     p.add_argument("--jobs", type=int, default=1, help="worker threads for per-utterance work")
-    p.add_argument("--out", default=None)
     _add_f0_flags(p)
     p.set_defaults(handler=_cmd_prosody)
 
-    p = sub.add_parser("analyze", formatter_class=fmt,
+    p = sub.add_parser("analyze",
                        help="style-by-intensity prosody report from EASV and prosody files")
     p.add_argument("--easv", required=True, help="EASV jsonl produced by extract")
     p.add_argument("--prosody", required=True, help="prosody jsonl produced by prosody")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--neutral-label", default="neutral")
     p.add_argument("--format", choices=("markdown", "csv"), default="markdown")
-    p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_analyze)
 
-    p = sub.add_parser("pair-acc", formatter_class=fmt,
-                       help="intensity-ordering accuracy from a pairs file")
+    p = sub.add_parser("pair-acc", help="intensity-ordering accuracy from a pairs file")
     p.add_argument("--pairs", required=True,
                    help="file with 'r_low r_high judged' per line; judged is whether "
                         "the rater picked the second sample as stronger")
-    p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_pair_acc)
 
+    for name, p in sub.choices.items():
+        p.add_argument("--out", help="file the result replaces whole (stdout when omitted)")
+        if name in ("fit", "svas", "analyze"):
+            p.add_argument("--neutral-label", default="neutral",
+                           help="label of the neutral class")
     return parser
 
 
@@ -502,8 +492,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        text, out_path = args.handler(args)
-        _emit(text, out_path)
+        _emit(args.handler(args), args.out)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,9 +1,11 @@
 """Line-oriented input, dataset manifest parsing and WAV loading.
 
 Every line-oriented input format is defined by its per-line parser, run
-through ``parse_lines``: blank and whitespace-only lines are skipped, lines
-are numbered from 1, and a fault in one line is a ValueError reading ``line
-N: <message>``, or ``line N: missing key 'k'`` for a KeyError.
+through ``parse_lines``. Every reader of lines, the column decoders too,
+takes them from ``numbered_lines``: blank and whitespace-only lines are
+skipped, and lines are numbered from 1. In ``parse_lines`` a fault in one
+line is a ValueError reading ``line N: <message>``, or ``line N: missing
+key 'k'`` for a KeyError.
 ``unique_ids`` rejects an id seen twice, naming both lines.
 
 Decode by column, diagnose by line: a manifest is first decoded whole into
@@ -43,7 +45,7 @@ import wave
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress, count
 from pathlib import Path
 from typing import NamedTuple
 
@@ -172,20 +174,27 @@ def _collector_paused():
             gc.enable()
 
 
+def numbered_lines(text: str) -> tuple[list[int], list[str]]:
+    """The lines of `text` that are not blank or whitespace-only, and their
+    line numbers, counted from 1: (numbers, lines)."""
+    lines = text.splitlines()  # filtered in C, and no (number, line) tuple per line
+    return (list(compress(count(1), map(str.strip, lines))),
+            list(compress(lines, map(str.strip, lines))))
+
+
 def parse_lines(text: str, parse_line) -> list[tuple[int, object]]:
-    """(line number, parse_line(line)) for each non-blank line, numbered from 1;
+    """(line number, parse_line(line)) for each of the numbered_lines of text;
     a ValueError from parse_line is raised again as `line N: <message>`, and a
     KeyError as `line N: missing key 'k'`."""
     numbered = []
     with _collector_paused():
-        for line_no, line in enumerate(text.splitlines(), start=1):
-            if line.strip():
-                try:
-                    numbered.append((line_no, parse_line(line)))
-                except ValueError as exc:
-                    raise line_error(line_no, exc) from exc
-                except KeyError as exc:
-                    raise line_error(line_no, f"missing key {exc}") from exc
+        for line_no, line in zip(*numbered_lines(text)):
+            try:
+                numbered.append((line_no, parse_line(line)))
+            except ValueError as exc:
+                raise line_error(line_no, exc) from exc
+            except KeyError as exc:
+                raise line_error(line_no, f"missing key {exc}") from exc
     return numbered
 
 
@@ -292,12 +301,11 @@ def _decode_manifest(text: str) -> tuple | None:
     with _collector_paused():
         rows = []
         try:
-            for line in text.splitlines():
-                if line.strip():
-                    obj = json.loads(line)
-                    if type(obj) is not dict:
-                        return None
-                    rows.append(tuple(map(obj.get, _COLUMNS)))  # and the dict is freed
+            for line in numbered_lines(text)[1]:
+                obj = json.loads(line)
+                if type(obj) is not dict:
+                    return None
+                rows.append(tuple(map(obj.get, _COLUMNS)))  # and the dict is freed
         except (ValueError, RecursionError):
             return None
         ids, speakers, emotions, vads, audio_paths, *raw_embeddings = (

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -369,7 +370,7 @@ def test_help_exits_0_and_lists_defaults(command, capsys):
     out = capsys.readouterr().out
     assert "--out" in out
     if command == "fit":
-        assert "default: 1e-06" in out  # --denominator-epsilon default advertised
+        assert "(default: neutral)" in out  # --neutral-label default advertised
 
 
 def test_svas_with_center_flag(tmp_path, capsys):
@@ -569,19 +570,14 @@ def test_prosody_f0_flags_reach_the_config(tmp_path, capsys):
     assert capsys.readouterr().out != expected + "\n"
 
 
-def test_fit_denominator_epsilon_flag(tmp_path, manifest_file):
-    from vadsphere import objective
+def test_fit_records_the_default_solver_epsilon(tmp_path, manifest_file, capsys):
     model = tmp_path / "model.json"
-    assert run(["fit", "--manifest", str(manifest_file), "--denominator-epsilon", "0.001",
-                "--out", str(model)]) == 0
-    doc = json.loads(model.read_text())
-    assert doc["solver"] == {"denominator_epsilon": 0.001}
-    manifest = vadsphere.parse_manifest(manifest_file)
-    neutrals = [r.vad for r in manifest.neutral_records()]
-    assert sorted(doc["centroids"]) == ["angry", "happy", "sad"]
-    for emotion, entry in doc["centroids"].items():
-        targets = [r.vad for r in manifest.class_records(emotion)]
-        assert entry["objective"] == objective(entry["point"], targets, neutrals, 0.001)
+    assert run(["fit", "--manifest", str(manifest_file), "--out", str(model)]) == 0
+    assert json.loads(model.read_text())["solver"] == {"denominator_epsilon": 1e-06}
+    # the epsilon is a library setting (SolverConfig), not a flag
+    assert run(["fit", "--manifest", str(manifest_file), "--denominator-epsilon", "0.1",
+                "--out", str(model)]) == 1
+    assert "unrecognized arguments: --denominator-epsilon 0.1" in capsys.readouterr().err
 
 
 def test_metrics_requires_some_input(capsys):
@@ -1100,3 +1096,63 @@ def test_any_json_number_in_a_numeric_field_exits_0_or_1(tmp_path_factory, chain
         code = run(_reading(kind, bad, chain, out))
     assert code in (0, 1), err.getvalue()
     assert out.exists() == (code == 0)
+
+
+# ---------------------------------------------------------------------------
+# one output path: every subcommand writes the same bytes to stdout or --out
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def every_command(chain, tmp_path_factory) -> dict[str, list[str]]:
+    """A successful command line for each subcommand, without --out."""
+    d = tmp_path_factory.mktemp("every")
+    vad, emb, labels, pairs, wavs = (d / name for name in
+                                     ("vad.txt", "emb.txt", "labels.txt", "pairs.txt", "wavs"))
+    vad.write_text("0.8 0.7 0.6\n0.2 0.3 0.4\n")
+    emb.write_text("1 0\n0.6 0.8\n")
+    labels.write_text("happy\nsad\n")
+    pairs.write_text("0.2 0.8 1\n0.9 0.1 0\n0.3 0.4 0\n")
+    write_wav(d / "tone.wav", sine_samples(200.0, 0.4, 16000), 16000)
+    wavs.write_text(f"{d / 'tone.wav'}\n")
+    m = str(chain["manifest"])
+    return {
+        "fit": ["fit", "--manifest", m],
+        "extract": ["extract", "--manifest", m, "--model", str(chain["model"])],
+        "control-vec": ["control-vec", "--emotion", "sad", "--octant", "VI",
+                        "--intensity", "0.4"],
+        "svas": ["svas", "--synth", str(vad), "--ref", str(vad), "--center", "0.5,0.5,0.5"],
+        "metrics": ["metrics", "--emb-a", str(emb), "--emb-b", str(emb),
+                    "--pred-labels", str(labels), "--ref-labels", str(labels)],
+        "prosody": ["prosody", "--wav-list", str(wavs)],
+        "analyze": ["analyze", "--easv", str(chain["easv"]), "--prosody", str(chain["prosody"]),
+                    "--manifest", m],
+        "pair-acc": ["pair-acc", "--pairs", str(pairs)],
+    }
+
+
+@pytest.mark.parametrize("command", ["fit", "extract", "control-vec", "svas",
+                                     "metrics", "prosody", "analyze", "pair-acc"])
+def test_out_file_holds_the_stdout_bytes(command, every_command, tmp_path, capsysbinary):
+    argv = every_command[command]
+    assert run(argv) == 0
+    stdout = capsysbinary.readouterr().out
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert stdout and out.read_bytes() == stdout
+    assert run([command, "--help"]) == 0
+    help_text = capsysbinary.readouterr().out.decode()
+    assert re.findall(r"^ +--out\b", help_text, re.M) == ["  --out"]
+
+
+@pytest.mark.parametrize("command", ["extract", "prosody"])
+def test_empty_manifest_gives_an_empty_file(command, chain, tmp_path, capsysbinary):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n  \n")
+    argv = {"extract": ["extract", "--manifest", str(empty), "--model", str(chain["model"])],
+            "prosody": ["prosody", "--manifest", str(empty)]}[command]
+    assert run(argv) == 0
+    assert capsysbinary.readouterr().out == b""
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == b""

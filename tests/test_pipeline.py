@@ -21,6 +21,7 @@ from vadsphere import (
     iqr_bounds,
     make_control_vector,
     normalize_radius,
+    objective,
     shift,
     to_spherical,
 )
@@ -276,3 +277,16 @@ def test_easv_model_validation():
     bounds = IqrBounds(q1=0.1, q3=0.2, r_min=0.0, r_max=0.4)
     with pytest.raises(ValueError, match="same emotions"):
         EasvModel(centroids={"happy": centroid}, bounds={}, neutral_label="neutral")
+
+
+def test_fit_denominator_epsilon_config():
+    manifest = synthetic_manifest(per_class=25, seed=6)
+    cfg = SolverConfig(0.001)
+    doc = json.loads(model_to_json(fit_easv_model(manifest, cfg), cfg))
+    assert doc["solver"] == {"denominator_epsilon": 0.001}
+    rows = manifest.class_rows()
+    neutrals = manifest.vad[rows["neutral"]]
+    assert sorted(doc["centroids"]) == ["angry", "happy", "sad"]
+    for emotion, entry in doc["centroids"].items():
+        targets = manifest.vad[rows[emotion]]
+        assert entry["objective"] == objective(entry["point"], targets, neutrals, 0.001)
