@@ -105,17 +105,20 @@ def _emit(text: str, out_path: str | None) -> None:
             f.write(data)
         return
     tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
-    # open() creates with mode 0o666 & ~umask, as a plain write would
-    f = open(tmp, "xb")
     try:
-        with f:
-            f.write(data)
-        if target_mode is not None:  # keep an existing file's mode
-            os.chmod(tmp, stat.S_IMODE(target_mode))
-        os.replace(tmp, target)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        # open() creates with mode 0o666 & ~umask, as a plain write would
+        f = open(tmp, "xb")
+        try:
+            with f:
+                f.write(data)
+            if target_mode is not None:  # keep an existing file's mode
+                os.chmod(tmp, stat.S_IMODE(target_mode))
+            os.replace(tmp, target)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:  # name the path given, not the random temp file
+        raise OSError(exc.errno, exc.strerror, out_path) from None
 
 
 def _parse_file(path: str, parse, *args):

@@ -178,8 +178,8 @@ def numbered_lines(text: str) -> tuple[list[int], list[str]]:
     """The lines of `text` that are not blank or whitespace-only, and their
     line numbers, counted from 1: (numbers, lines)."""
     lines = text.splitlines()  # filtered in C, and no (number, line) tuple per line
-    return (list(compress(count(1), map(str.strip, lines))),
-            list(compress(lines, map(str.strip, lines))))
+    stripped = list(map(str.strip, lines))
+    return list(compress(count(1), stripped)), list(compress(lines, stripped))
 
 
 def parse_lines(text: str, parse_line) -> list[tuple[int, object]]:

@@ -14,12 +14,15 @@ is computed once, by one 5-smooth-length FFT correlation per block of
 under a quarter of the window, sub-windows span several hops so that
 neither the terms nor the FFT length grow without bound. Each block of
 frames' (rows x lags) cumulative-mean-normalized difference d'(tau) is then
-searched, all rows at once, for the first dip under the aperiodicity
-threshold (falling back to the global minimum), refined by parabolic
+searched, all rows and lags at once, for the first dip under the
+aperiodicity threshold (falling back to the global minimum); the descent
+from the dip to its local minimum is one pass too, the first lag from the
+dip on whose successor d' does not fall. The lag is refined by parabolic
 interpolation; only the per-frame dip depth and refined lag outlive the
-block. The dip depth doubles as the voicing decision: a frame is voiced
-when its best d' value is below the threshold, and periodicity is reported
-as 1 - d'.
+block. A block is a handful of long numpy calls, so threads that run
+estimate_f0 side by side seldom wait on each other for the interpreter.
+The dip depth doubles as the voicing decision: a frame is voiced when its
+best d' value is below the threshold, and periodicity is reported as 1 - d'.
 
 Frame bookkeeping: energy frames are `window` samples advancing by `hop`;
 pitch frames need `window + tau_max` samples (the difference function
@@ -38,11 +41,13 @@ from .manifest import AudioBuffer, parse_lines
 
 MIN_SAMPLE_RATE = 8000
 
-# Sub-window rows per yin_difference call. A block's (rows x n_fft) FFT
-# temporaries, about 0.2 MB each at 16 kHz, stay cache-resident and reuse
-# freed memory; with whole utterances every call takes fresh pages, and page
-# faults cost more system time than the FFTs take.
-_F0_BLOCK = 48
+# Sub-window rows per yin_difference call and per lag search. Each block is a
+# few long numpy calls, so two prosody threads hand the interpreter lock over
+# seldom; its (rows x n_fft) temporaries, about 0.9 MB each at 16 kHz, still
+# reuse freed heap memory. From about 224 rows at 16 kHz they are returned to
+# the system and faulted in again on every block (glibc's mmap and trim
+# thresholds), and the page faults cost more system time than the FFTs take.
+_F0_BLOCK = 192
 
 # Sub-windows a frame's difference function is summed from, at most: with a
 # hop under a quarter of the window, sub-windows span several hops.
@@ -128,15 +133,13 @@ def _select_lags(cm: np.ndarray, tau_min: int, threshold: float) -> np.ndarray:
     search = cm[:, tau_min:]
     below = search < threshold
     dips = below.any(axis=1)
-    lag = np.where(dips, below.argmax(axis=1), search.argmin(axis=1))
-    last = search.shape[1] - 1
-    walking = np.flatnonzero(dips)
-    while walking.size:  # one lag per pass for every frame still descending
-        walking = walking[lag[walking] < last]
-        at = lag[walking]
-        walking = walking[search[walking, at + 1] < search[walking, at]]
-        lag[walking] += 1
-    return tau_min + lag
+    first = below.argmax(axis=1)
+    # the walk stops at the first lag from the dip on whose successor does
+    # not fall ("not <", so a NaN neighbour stops it), or at tau_max
+    stop = np.ones(search.shape, dtype=bool)
+    stop[:, :-1] = ~(search[:, 1:] < search[:, :-1])
+    stop &= np.arange(search.shape[1]) >= first[:, None]
+    return tau_min + np.where(dips, stop.argmax(axis=1), search.argmin(axis=1))
 
 
 def _sub_windows(window: int, hop: int) -> tuple[int, int, int]:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import stat
@@ -16,7 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vadsphere
+from vadsphere import F0Config
 from vadsphere.cli import run
+from vadsphere.prosody import _F0_BLOCK
 
 from conftest import (
     CLASS_CENTERS,
@@ -289,10 +292,16 @@ def test_fit_without_non_neutral_class_exits_1(tmp_path, capsys):
 
 
 def test_unwritable_out_path_exits_1(tmp_path, manifest_file, capsys):
+    # the diagnostic names the --out path, not the random temp file, so it is
+    # the same on every run
     out = tmp_path / "no" / "such" / "dir" / "model.json"
-    assert run(["fit", "--manifest", str(manifest_file), "--out", str(out)]) == 1
-    assert "error:" in capsys.readouterr().err
-    assert not out.exists()
+    errors = []
+    for _ in range(2):
+        assert run(["fit", "--manifest", str(manifest_file), "--out", str(out)]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+    assert ".tmp" not in errors[0]
+    assert not (tmp_path / "no").exists()
 
 
 def test_failed_write_keeps_existing_out_file(tmp_path, capsys):
@@ -591,8 +600,10 @@ def test_prosody_manifest_and_jobs_equivalence(tmp_path):
     wav_dir = tmp_path / "wavs"
     wav_dir.mkdir()
     lines = []
-    # u3, 2.5 s, is 210 pitch frames: several blocks of prosody._F0_BLOCK
-    durations = (0.4, 0.4, 0.4, 2.5)
+    # u3 has 3 * _F0_BLOCK + 5 pitch frames, so it spans 4 blocks
+    cfg = F0Config()
+    long_n = cfg.window + math.ceil(sr / cfg.f_min) + (3 * _F0_BLOCK + 4) * cfg.hop
+    durations = (0.4, 0.4, 0.4, long_n / sr)
     for i, (freq, duration) in enumerate(zip((150.0, 220.0, 310.0, 180.0), durations)):
         wav_path = wav_dir / f"u{i}.wav"
         write_wav(wav_path, sine_samples(freq, duration, sr), sr)
@@ -601,14 +612,12 @@ def test_prosody_manifest_and_jobs_equivalence(tmp_path):
                                   "audio_path": str(wav_path)}))
     manifest = tmp_path / "m.jsonl"
     manifest.write_text("\n".join(lines) + "\n")
-    out1 = tmp_path / "stats1.jsonl"
-    out2 = tmp_path / "stats2.jsonl"
-    assert run(["prosody", "--manifest", str(manifest), "--out", str(out1),
-                "--jobs", "1"]) == 0
-    assert run(["prosody", "--manifest", str(manifest), "--out", str(out2),
-                "--jobs", "3"]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    stats = [_json.loads(line) for line in out1.read_text().splitlines()]
+    outs = {jobs: tmp_path / f"stats{jobs}.jsonl" for jobs in (1, 2, 3)}
+    for jobs, out in outs.items():
+        assert run(["prosody", "--manifest", str(manifest), "--out", str(out),
+                    "--jobs", str(jobs)]) == 0
+    assert outs[1].read_bytes() == outs[2].read_bytes() == outs[3].read_bytes()
+    stats = [_json.loads(line) for line in outs[1].read_text().splitlines()]
     assert [s["id"] for s in stats] == ["u0", "u1", "u2", "u3"]
     assert stats[1]["pitch_mean_hz"] == pytest.approx(220.0, abs=2.0)
     assert stats[3]["pitch_mean_hz"] == pytest.approx(180.0, abs=2.0)

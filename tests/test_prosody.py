@@ -119,16 +119,23 @@ _ABOVE = st.floats(_THRESHOLD, 2.0)
 
 @st.composite
 def _cmndf_rows(draw):
-    """(rows of d', tau_min): ties and plateaus, no dip, or a dip falling to tau_max."""
+    """(rows of d', tau_min): ties and plateaus, no dip, a dip falling to
+    tau_max, or a dip followed by NaN, which ends the walk (NaN < x is false)."""
     n_lags = draw(st.integers(3, 40))
     tau_min = draw(st.integers(2, n_lags - 1))
     rows = []
-    for kind in draw(st.lists(st.sampled_from(["levels", "no_dip", "to_tau_max"]),
-                              min_size=1, max_size=6)):
+    kinds = ["levels", "no_dip", "to_tau_max"] + (["nan"] if tau_min < n_lags - 1 else [])
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=6)):
         if kind == "levels":
             row = draw(st.lists(_LEVELS, min_size=n_lags, max_size=n_lags))
         elif kind == "no_dip":
             row = draw(st.lists(_ABOVE, min_size=n_lags, max_size=n_lags))
+        elif kind == "nan":
+            start = draw(st.integers(tau_min, n_lags - 2))
+            rest = n_lags - start - 2
+            row = draw(st.lists(_ABOVE, min_size=start, max_size=start))
+            row += [draw(st.floats(0.0, _THRESHOLD, exclude_max=True)), math.nan]
+            row += draw(st.lists(_LEVELS | st.just(math.nan), min_size=rest, max_size=rest))
         else:
             start = draw(st.integers(tau_min, n_lags - 1))
             tail = draw(st.lists(st.floats(0.0, _THRESHOLD, exclude_max=True),
