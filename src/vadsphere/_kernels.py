@@ -14,7 +14,7 @@
   for 1344). d is a sum over the window, so d over a window equals the sum
   of d over consecutive sub-windows of it, each with its own tau_max tail.
   ``prosody.estimate_f0`` relies on that: it calls the kernel on blocks of
-  ``prosody._F0_BLOCK`` (192) hop-strided sub-window rows (576 samples at
+  ``prosody._F0_BLOCK`` hop-strided sub-window rows (576 samples at
   16 kHz and the default hop, so one 576-point FFT per row) and on the
   remainder rows, and sums each frame's rows. The benchmark's kernel
   timing and the tests call it on whole frames.

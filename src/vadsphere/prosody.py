@@ -19,8 +19,7 @@ aperiodicity threshold (falling back to the global minimum); the descent
 from the dip to its local minimum is one pass too, the first lag from the
 dip on whose successor d' does not fall. The lag is refined by parabolic
 interpolation; only the per-frame dip depth and refined lag outlive the
-block. A block is a handful of long numpy calls, so threads that run
-estimate_f0 side by side seldom wait on each other for the interpreter.
+block, so a block is a handful of long numpy calls whatever its content.
 The dip depth doubles as the voicing decision: a frame is voiced when its
 best d' value is below the threshold, and periodicity is reported as 1 - d'.
 
