@@ -177,10 +177,16 @@ def _whole_utterance_f0(audio, cfg=F0Config()):
     return f0, voiced, 1.0 - aperiodicity
 
 
+# a block size well under _F0_BLOCK, so that short utterances already span
+# several blocks; frame counts are taken around both block sizes
+_SMALL_BLOCK = 48
+_BLOCKS = (_SMALL_BLOCK, _F0_BLOCK)
+
+
 @pytest.mark.parametrize("sr", [8000, 16000, 22050, 44100, 48000])
-@pytest.mark.parametrize("n_frames", [1, _F0_BLOCK - 1, _F0_BLOCK, _F0_BLOCK + 1,
-                                      3 * _F0_BLOCK + 5])
-def test_estimate_f0_blocks_match_whole_utterance(sr, n_frames):
+@pytest.mark.parametrize("n_frames", sorted({1, *(b + d for b in _BLOCKS for d in (-1, 0, 1)),
+                                             *(3 * b + 5 for b in _BLOCKS)}))
+def test_estimate_f0_blocks_match_whole_utterance(monkeypatch, sr, n_frames):
     cfg = F0Config()
     n = cfg.window + math.ceil(sr / cfg.f_min) + (n_frames - 1) * cfg.hop
     tone, silence = (4 * n) // 10, (3 * n) // 10
@@ -188,14 +194,16 @@ def test_estimate_f0_blocks_match_whole_utterance(sr, n_frames):
         sine_samples(220.0, tone / sr, sr)[:tone], np.zeros(silence),
         np.random.default_rng(n_frames).uniform(-0.5, 0.5, n - tone - silence)])
     audio = _audio(samples, sr)
-    track = estimate_f0(audio, cfg)
     f0, voiced, periodicity = _whole_utterance_f0(audio, cfg)
-    assert len(track) == n_frames
-    assert np.array_equal(track.voiced, voiced)
-    assert np.abs(track.f0_hz - f0).max() <= 1e-9
-    assert np.abs(track.periodicity - periodicity).max() <= 1e-12
-    if n_frames > _F0_BLOCK:  # the signal crosses voiced and unvoiced blocks
-        assert voiced.any() and not voiced.all()
+    for block in _BLOCKS:
+        monkeypatch.setattr(prosody, "_F0_BLOCK", block)
+        track = estimate_f0(audio, cfg)
+        assert len(track) == n_frames
+        assert np.array_equal(track.voiced, voiced)
+        assert np.abs(track.f0_hz - f0).max() <= 1e-9
+        assert np.abs(track.periodicity - periodicity).max() <= 1e-12
+        if n_frames > block:  # the signal crosses voiced and unvoiced blocks
+            assert voiced.any() and not voiced.all()
 
 
 def _tone_silence_noise(n, sr, seed):
@@ -208,34 +216,37 @@ def _tone_silence_noise(n, sr, seed):
 
 # (window, hop, frames): windows that are no multiple of the hop, hop ==
 # window, and hop 1, whose sub-windows span several hops
-_CONFIGS = [(1000, 300, 3 * _F0_BLOCK + 5), (777, 100, 3 * _F0_BLOCK + 5),
-            (1024, 1024, 2 * _F0_BLOCK + 3), (1024, 1000, 2 * _F0_BLOCK + 3),
+_CONFIGS = [*((w, h, 3 * b + 5) for b in _BLOCKS for w, h in ((1000, 300), (777, 100))),
+            *((1024, h, 2 * b + 3) for b in _BLOCKS for h in (1024, 1000)),
             (1024, 1, 700)]
 
 
 @pytest.mark.parametrize("sr", [8000, 16000, 48000])
 @pytest.mark.parametrize("window, hop, n_frames", _CONFIGS)
-def test_estimate_f0_sub_windows_match_whole_frames(sr, window, hop, n_frames):
+def test_estimate_f0_sub_windows_match_whole_frames(monkeypatch, sr, window, hop, n_frames):
     cfg = F0Config(window=window, hop=hop)
     n = window + math.ceil(sr / cfg.f_min) + (n_frames - 1) * hop
     audio = _audio(_tone_silence_noise(n, sr, n_frames), sr)
-    track = estimate_f0(audio, cfg)
     f0, voiced, periodicity = _whole_utterance_f0(audio, cfg)
-    assert len(track) == n_frames
-    assert np.array_equal(track.voiced, voiced)
-    assert np.abs(track.f0_hz - f0).max() <= 1e-9
-    assert np.abs(track.periodicity - periodicity).max() <= 1e-12
     assert voiced.any() and not voiced.all()
+    for block in _BLOCKS:
+        monkeypatch.setattr(prosody, "_F0_BLOCK", block)
+        track = estimate_f0(audio, cfg)
+        assert len(track) == n_frames
+        assert np.array_equal(track.voiced, voiced)
+        assert np.abs(track.f0_hz - f0).max() <= 1e-9
+        assert np.abs(track.periodicity - periodicity).max() <= 1e-12
 
 
-@pytest.mark.parametrize("window, hop, n_frames", [(1024, 256, 3 * _F0_BLOCK + 5), *_CONFIGS])
+@pytest.mark.parametrize("window, hop, n_frames",
+                         [*((1024, 256, 3 * b + 5) for b in _BLOCKS), *_CONFIGS])
 def test_estimate_f0_does_not_depend_on_the_block_size(monkeypatch, window, hop, n_frames):
     # a frame's sub-window rows can fall in two blocks, or in more
     cfg = F0Config(window=window, hop=hop)
     n = window + math.ceil(16000 / cfg.f_min) + (n_frames - 1) * hop
     audio = _audio(_tone_silence_noise(n, 16000, n_frames), 16000)
     tracks = []
-    for block in (1, 7, _F0_BLOCK, 10 ** 6):
+    for block in (1, 7, *_BLOCKS, 10 ** 6):
         monkeypatch.setattr(prosody, "_F0_BLOCK", block)
         track = estimate_f0(audio, cfg)
         tracks.append((track.f0_hz.tobytes(), track.voiced.tobytes(),
