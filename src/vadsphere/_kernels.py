@@ -13,11 +13,12 @@
   correlation at the smallest 5-smooth length >= the frame (1350, not 2048,
   for 1344). d is a sum over the window, so d over a window equals the sum
   of d over consecutive sub-windows of it, each with its own tau_max tail.
-  ``prosody.estimate_f0`` relies on that: it calls the kernel on blocks of
-  ``prosody._F0_BLOCK`` hop-strided sub-window rows (576 samples at
-  16 kHz and the default hop, so one 576-point FFT per row) and on the
-  remainder rows, and sums each frame's rows. The benchmark's kernel
-  timing and the tests call it on whole frames.
+  ``prosody.estimate_f0`` relies on that: per block of
+  ``prosody._F0_BLOCK`` frames it calls the kernel on the hop-strided
+  sub-window rows it does not carry over from the previous block (576
+  samples at 16 kHz and the default hop, so one 576-point FFT per row) and
+  on the block's remainder rows, and sums each frame's rows. The
+  benchmark's kernel timing and the tests call it on whole frames.
 
 ``centroid`` and ``prosody`` call them as ``_kernels.<name>``, so wrapping a
 module attribute reaches every call; the traced benchmark run counts

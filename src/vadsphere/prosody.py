@@ -8,12 +8,14 @@ sub-windows: with sub-windows of `hop` samples and q, r = divmod(window, hop),
 
 where D_hop[k] is d over the `hop` samples from k * hop (a row of
 hop + tau_max samples, 576 at 16 kHz and the default hop) and D_r the same
-over the r-sample remainder, present only when r > 0. Each sub-window row
-is computed once, by one 5-smooth-length FFT correlation per block of
-`_F0_BLOCK` rows, and shared by the q frames that overlap it; with a hop
-under a quarter of the window, sub-windows span several hops so that
-neither the terms nor the FFT length grow without bound. Each block of
-frames' (rows x lags) cumulative-mean-normalized difference d'(tau) is then
+over the r-sample remainder, present only when r > 0. Each sub-window row is
+computed once and shared by the q frames that overlap it: frames run in
+blocks of `_F0_BLOCK`, the last frames of a block reach `span` rows past it,
+and those rows are carried into the next block, whose one 5-smooth-length
+FFT correlation computes only the rows it does not hold yet. With a hop
+under a quarter of the window, sub-windows span several hops so that neither
+the terms nor the FFT length grow without bound. Each block of frames'
+(rows x lags) cumulative-mean-normalized difference d'(tau) is then
 searched, all rows and lags at once, for the first dip under the
 aperiodicity threshold (falling back to the global minimum); the descent
 from the dip to its local minimum is one pass too, the first lag from the
@@ -40,7 +42,10 @@ from .manifest import AudioBuffer, parse_lines
 
 MIN_SAMPLE_RATE = 8000
 
-# Sub-window rows per yin_difference call and per lag search. Each block is a
+# Frames per block: one lag search each, and one yin_difference call for the
+# sub-window rows the block lacks. Each call is _F0_BLOCK rows, except an
+# utterance's first, which is _F0_BLOCK + span rows (195 at the defaults, 960
+# at hop 1), since a block carries `span` rows on. Each block is a
 # few long numpy calls, so two prosody threads hand the interpreter lock over
 # seldom; its (rows x n_fft) temporaries, about 0.9 MB each at 16 kHz, still
 # reuse freed heap memory. From about 224 rows at 16 kHz they are returned to
@@ -150,41 +155,6 @@ def _sub_windows(window: int, hop: int) -> tuple[int, int, int]:
     return step, terms, rest
 
 
-def _difference_blocks(x: np.ndarray, n_frames: int, window: int, hop: int,
-                       tau_max: int):
-    """d(tau) of frames 0 .. n_frames - 1 in consecutive blocks of rows.
-
-    YIN's d is a sum over the window, so a frame's d is the sum of the d of
-    its sub-windows. Sub-window rows start every hop, as frames do, and each
-    is shared by up to `terms` frames: it is computed once, in blocks of
-    _F0_BLOCK rows, and kept until the last frame that needs it is summed.
-    The summation order is fixed, so the result does not depend on the block
-    size.
-    """
-    step, terms, rest = _sub_windows(window, hop)
-    sub = step * hop
-    span = (terms - 1) * step  # rows a frame reaches past its first
-    view = np.lib.stride_tricks.sliding_window_view
-    rows = view(x, sub + tau_max)[::hop][:n_frames + span]
-    tails = view(x[terms * sub:], rest + tau_max)[::hop] if rest else None
-    held = np.empty((0, tau_max + 1))
-    done = 0  # frames yielded; held[0] is row `done`
-    for lo in range(0, len(rows), _F0_BLOCK):
-        fresh = _kernels.yin_difference(rows[lo:lo + _F0_BLOCK], sub, tau_max)
-        held = np.concatenate([held, fresh]) if len(held) else fresh
-        ready = min(lo + len(fresh) - span, n_frames) - done
-        if ready <= 0:
-            continue
-        d = held[:ready].copy()
-        for c in range(1, terms):
-            d += held[c * step:c * step + ready]
-        if rest:
-            d += _kernels.yin_difference(tails[done:done + ready], rest, tau_max)
-        held = held[ready:]
-        done += ready
-        yield d
-
-
 def _yin_block(diff: np.ndarray, cfg: F0Config, tau_min: int,
                tau_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Per frame of one block of d(tau) rows: the aperiodicity, d' at the
@@ -225,9 +195,27 @@ def estimate_f0(audio: AudioBuffer, cfg: F0Config | None = None) -> F0Track:
             f"(window plus two periods of f_min), got {x.size}")
 
     n_frames = (x.size - frame_len) // cfg.hop + 1
-    blocks = [_yin_block(d, cfg, tau_min, tau_max)
-              for d in _difference_blocks(x, n_frames, cfg.window, cfg.hop, tau_max)]
-    aperiodicity, lag = (np.concatenate(part) for part in zip(*blocks))
+    step, terms, rest = _sub_windows(cfg.window, cfg.hop)
+    sub = step * cfg.hop
+    span = (terms - 1) * step  # rows a frame reaches past its first
+    view = np.lib.stride_tricks.sliding_window_view
+    rows = view(x, sub + tau_max)[::cfg.hop]
+    tails = view(x[terms * sub:], rest + tau_max)[::cfg.hop] if rest else None
+    aperiodicity, lag = np.empty(n_frames), np.empty(n_frames)
+    # Frame f sums rows f, f + step, ..., f + span in that fixed order, so the
+    # result does not depend on the block size.
+    held = np.empty((0, tau_max + 1))  # rows lo .. lo + len(held) - 1
+    for lo in range(0, n_frames, _F0_BLOCK):
+        hi = min(lo + _F0_BLOCK, n_frames)
+        fresh = _kernels.yin_difference(rows[lo + len(held):hi + span], sub, tau_max)
+        held = np.concatenate([held, fresh]) if len(held) else fresh
+        d = held[:hi - lo].copy()
+        for c in range(1, terms):
+            d += held[c * step:c * step + hi - lo]
+        if rest:
+            d += _kernels.yin_difference(tails[lo:hi], rest, tau_max)
+        aperiodicity[lo:hi], lag[lo:hi] = _yin_block(d, cfg, tau_min, tau_max)
+        held = held[hi - lo:]
     voiced = aperiodicity < cfg.aperiodicity_threshold
     refined = np.clip(lag, tau_min, tau_max)
     f0 = np.where(voiced, np.clip(sr / refined, cfg.f_min, cfg.f_max), 0.0)

@@ -254,6 +254,30 @@ def test_estimate_f0_does_not_depend_on_the_block_size(monkeypatch, window, hop,
     assert tracks.count(tracks[0]) == len(tracks)
 
 
+@pytest.mark.parametrize("window, hop", [(1024, 256), (1000, 300), (777, 100), (1024, 1)])
+@pytest.mark.parametrize("block", [1, 7, _SMALL_BLOCK, _F0_BLOCK, 10 ** 6])
+def test_estimate_f0_computes_each_row_once(monkeypatch, window, hop, block):
+    cfg = F0Config(window=window, hop=hop)
+    n_frames = 3 * _SMALL_BLOCK + 5
+    n = window + math.ceil(16000 / cfg.f_min) + (n_frames - 1) * hop
+    audio = _audio(_tone_silence_noise(n, 16000, n_frames), 16000)
+    step, terms, rest = prosody._sub_windows(window, hop)
+    span = (terms - 1) * step
+    calls = []  # (rows, window) of each yin_difference call
+    kernel = _kernels.yin_difference
+
+    def recorder(frames, window, tau_max):
+        calls.append((len(frames), window))
+        return kernel(frames, window, tau_max)
+
+    monkeypatch.setattr(_kernels, "yin_difference", recorder)
+    monkeypatch.setattr(prosody, "_F0_BLOCK", block)
+    assert len(estimate_f0(audio, cfg)) == n_frames
+    assert sum(rows for rows, w in calls if w == step * hop) == n_frames + span
+    assert sum(rows for rows, w in calls if w == rest) == (n_frames if rest else 0)
+    assert max(rows for rows, _ in calls) <= block + span
+
+
 @pytest.mark.parametrize("window", [2, 3, 100, 777, 1000, 1024, 4096])
 def test_sub_windows_tile_the_window(window):
     for hop in {min(h, window) for h in (1, 2, 3, window // 5, window // 4, window // 3,
