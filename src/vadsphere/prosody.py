@@ -43,10 +43,10 @@ from .manifest import AudioBuffer, parse_lines
 MIN_SAMPLE_RATE = 8000
 
 # Frames per block: one lag search each, and one yin_difference call for the
-# sub-window rows the block lacks. Each call is _F0_BLOCK rows, except an
-# utterance's first, which is _F0_BLOCK + span rows (195 at the defaults, 960
-# at hop 1), since a block carries `span` rows on. Each block is a
-# few long numpy calls, so two prosody threads hand the interpreter lock over
+# sub-window rows the block lacks. Each call is at most _F0_BLOCK rows, except
+# an utterance's first, which is up to _F0_BLOCK + span rows (195 at the
+# defaults, 960 at hop 1), since a block carries `span` rows on. Each block is
+# a few long numpy calls, so two prosody threads hand the interpreter lock over
 # seldom; its (rows x n_fft) temporaries, about 0.9 MB each at 16 kHz, still
 # reuse freed heap memory. From about 224 rows at 16 kHz they are returned to
 # the system and faulted in again on every block (glibc's mmap and trim

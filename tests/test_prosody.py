@@ -266,9 +266,9 @@ def test_estimate_f0_computes_each_row_once(monkeypatch, window, hop, block):
     calls = []  # (rows, window) of each yin_difference call
     kernel = _kernels.yin_difference
 
-    def recorder(frames, window, tau_max):
-        calls.append((len(frames), window))
-        return kernel(frames, window, tau_max)
+    def recorder(frames, length, tau_max):
+        calls.append((len(frames), length))
+        return kernel(frames, length, tau_max)
 
     monkeypatch.setattr(_kernels, "yin_difference", recorder)
     monkeypatch.setattr(prosody, "_F0_BLOCK", block)
