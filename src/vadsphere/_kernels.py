@@ -6,19 +6,14 @@
 - ``objective_values``: the same objective at each row of a (k, 3) point
   array, batched as BLAS matmuls; the compass stencil of ``solve_centroid``.
 - ``grid_objective_values``: ``objective_values`` at every point of a cubic
-  lattice, in C order; the lattice scan of ``solve_centroid`` and
-  ``grid_search_centroid``.
+  lattice, in C order; the lattice scan of ``grid_search_centroid``, which
+  ``solve_centroid`` starts from.
 - ``yin_difference``: the squared difference function d(tau) of YIN
   (de Cheveigne & Kawahara 2002) for any batch of frames, via FFT
   correlation at the smallest 5-smooth length >= the frame (1350, not 2048,
   for 1344). d is a sum over the window, so d over a window equals the sum
-  of d over consecutive sub-windows of it, each with its own tau_max tail.
-  ``prosody.estimate_f0`` relies on that: per block of
-  ``prosody._F0_BLOCK`` frames it calls the kernel on the hop-strided
-  sub-window rows it does not carry over from the previous block (576
-  samples at 16 kHz and the default hop, so one 576-point FFT per row) and
-  on the block's remainder rows, and sums each frame's rows. The
-  benchmark's kernel timing and the tests call it on whole frames.
+  of d over consecutive sub-windows of it, each with its own tau_max tail;
+  ``prosody.estimate_f0`` builds each frame's d from such sub-windows.
 
 ``centroid`` and ``prosody`` call them as ``_kernels.<name>``, so wrapping a
 module attribute reaches every call; the traced benchmark run counts

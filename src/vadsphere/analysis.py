@@ -141,9 +141,13 @@ def build_report(easvs: EasvSet,
                 if spread is not None:
                     rc[(emotion, octant.tag, feature)] = spread
                 total_count = sum(counts[f][b] for b in group)
-                if total_count > 0:  # region sums added in region order
-                    avg[(emotion, octant.tag, feature)] = (
-                        sum(sums[f][b] for b in group) / total_count)
+                if total_count > 0:
+                    # region sums added left to right in region order; sum()
+                    # compensates float sums from Python 3.12 on
+                    total = 0.0
+                    for b in group:
+                        total += sums[f][b]
+                    avg[(emotion, octant.tag, feature)] = total / total_count
 
     return AnalysisReport(cells=cells, rc=rc, avg=avg, neutral=cell_at(neutral_bin),
                           neutral_label=manifest.neutral_label,

@@ -7,7 +7,8 @@ search has two phases: an exhaustive scan of the step-0.1 lattice picks the
 basin, then a bounded compass search (Hooke & Jeeves 1961; Kolda, Lewis &
 Torczon 2003) polishes the lattice winner. The compass search moves only to
 a strictly higher point, so the result is never below any lattice value.
-The same lattice scan, at any step, is ``grid_search_centroid``.
+The lattice scan is ``grid_search_centroid``, at any step; the solver runs
+it at step 0.1.
 """
 
 from __future__ import annotations
@@ -72,27 +73,12 @@ def objective(m, targets: Sequence, neutrals: Sequence, eps: float) -> float:
     return float(_kernels.distance_ratio(m_arr, t_arr, n_arr, eps))
 
 
-def _lattice_argmax(t_arr: np.ndarray, n_arr: np.ndarray, step: float,
-                   eps: float) -> tuple[float, float, float]:
-    """Best point of the lattice {0, step, 2*step, ..., 1}^3.
-
-    Ties break to the lexicographically smallest point (first maximum in C
-    scan order).
-    """
-    m = int(math.floor(1.0 / step + 1e-9))
-    axis = np.minimum(np.arange(m + 1, dtype=np.float64) * step, 1.0)
-    values = _kernels.grid_objective_values(axis, t_arr, n_arr, eps)
-    idx = int(np.argmax(values))
-    n = axis.size
-    return (float(axis[idx // (n * n)]), float(axis[(idx // n) % n]), float(axis[idx % n]))
-
-
 def solve_centroid(targets: Sequence, neutrals: Sequence,
                    cfg: SolverConfig | None = None) -> Centroid:
     """Maximize the distance-ratio objective over the VAD cube.
 
-    Scans the step-0.1 lattice, then runs a compass search from its best
-    point: each step scores the six points +-h along each axis, clipped to
+    Runs ``grid_search_centroid`` at step 0.1, then a compass search from
+    its point: each step scores the six points +-h along each axis, clipped to
     [0, 1]^3, and moves to the best of them if its objective (re-scored with
     ``_kernels.distance_ratio``) is strictly higher, else halves h, from
     h = 0.05 down to 1e-9. So the result lies in the cube and its objective
@@ -103,8 +89,8 @@ def solve_centroid(targets: Sequence, neutrals: Sequence,
     t_arr = _points(targets)
     n_arr = _points(neutrals)
     eps = cfg.denominator_epsilon
-    best_point = np.array(_lattice_argmax(t_arr, n_arr, _LATTICE_STEP, eps))
-    best_value = _kernels.distance_ratio(best_point, t_arr, n_arr, eps)
+    start = grid_search_centroid(t_arr, n_arr, _LATTICE_STEP, eps)
+    best_point, best_value = np.array(start.point), start.objective
     h = _COMPASS_STEP
     while h > _COMPASS_MIN_STEP:
         stencil = np.clip(best_point + h * _COMPASS_DIRECTIONS, 0.0, 1.0)
@@ -123,11 +109,18 @@ def grid_search_centroid(targets: Sequence, neutrals: Sequence, step: float,
                          eps: float = SolverConfig.denominator_epsilon) -> Centroid:
     """Exhaustive maximizer over the lattice {0, step, 2*step, ..., 1}^3.
 
-    The global phase of solve_centroid at any step. Ties break to the
-    lexicographically smallest lattice point (first maximum in C scan order).
+    The lattice scan of solve_centroid, which runs it at step 0.1. Ties
+    break to the lexicographically smallest lattice point (first maximum in
+    C scan order).
     """
     if not (0.0 < step <= 0.5):
         raise ValueError(f"step {step} must be in (0, 0.5]")
     _check_eps(eps)
-    point = _lattice_argmax(_points(targets), _points(neutrals), step, eps)
-    return Centroid(point=point, objective=objective(point, targets, neutrals, eps))
+    t_arr = _points(targets)
+    n_arr = _points(neutrals)
+    m = int(math.floor(1.0 / step + 1e-9))
+    axis = np.minimum(np.arange(m + 1, dtype=np.float64) * step, 1.0)
+    values = _kernels.grid_objective_values(axis, t_arr, n_arr, eps)
+    idx = np.unravel_index(int(np.argmax(values)), (axis.size,) * 3)
+    point = tuple(float(axis[i]) for i in idx)
+    return Centroid(point=point, objective=objective(point, t_arr, n_arr, eps))

@@ -138,7 +138,7 @@ def _nonblank(text: str, parse_line, what: str) -> list[tuple[int, object]]:
 
 
 def _stripped_lines(text: str, what: str) -> list[str]:
-    """The non-blank lines, stripped: a label file or a wav list."""
+    """The non-blank lines, stripped: a label file."""
     return [line for _, line in _nonblank(text, str.strip, what)]
 
 
@@ -334,7 +334,8 @@ def _cmd_prosody(args) -> str:
             if path is None:
                 raise ValueError(f"record '{rec_id}' has no audio_path")
     else:
-        paths = _parse_file(args.wav_list, _stripped_lines, "wav paths")
+        paths = _parse_file(args.wav_list, lambda text: unique_ids(  # a path is its id
+            _nonblank(text, lambda line: (line.strip(), None), "wav paths")))
         jobs_input = sorted((p, p) for p in paths)
 
     def work(item: tuple[str, str]) -> tuple[str, ProsodyStats]:

@@ -357,7 +357,8 @@ def read_wav(path) -> AudioBuffer:
     """Load a 16-bit PCM RIFF/WAVE file as mono float64 in [-1, 1].
 
     Multichannel input is downmixed by the arithmetic channel mean. Anything
-    that is not 16-bit PCM is rejected.
+    that is not 16-bit PCM, or a file cut short in its header or mid-frame,
+    is rejected.
     """
     try:
         with wave.open(str(path), "rb") as wav:
@@ -371,6 +372,10 @@ def read_wav(path) -> AudioBuffer:
             raw = wav.readframes(n_frames)
     except wave.Error as exc:
         raise ValueError(f"unsupported encoding: {exc}") from exc
+    except EOFError:
+        raise ValueError("unsupported encoding: truncated file, header ends early") from None
+    if len(raw) % (2 * n_channels):
+        raise ValueError("unsupported encoding: truncated file, data ends mid-frame")
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / INT16_SCALE
     if n_channels > 1:
         data = data.reshape(-1, n_channels).mean(axis=1)

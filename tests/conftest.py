@@ -42,6 +42,15 @@ def manifest_of(records, neutral_label: str = "neutral") -> DatasetManifest:
     return DatasetManifest(*(zip(*rows) if rows else ((),) * 7), neutral_label=neutral_label)
 
 
+def ordered_sum(values) -> float:
+    """0.0 + v0 + v1 + ..., added left to right: what sum() of floats gives up
+    to Python 3.11 (from 3.12 on, sum() compensates the rounding)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def serialize_manifest(manifest: DatasetManifest) -> str:
     """A manifest as line-delimited text: id-sorted rows, stable keys, optional
     keys only where present."""

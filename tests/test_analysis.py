@@ -19,7 +19,7 @@ from vadsphere import (
 )
 from vadsphere.analysis import FEATURES, REGION_ORDER
 
-from conftest import manifest_of
+from conftest import manifest_of, ordered_sum
 
 REGION_R_IQR = {"R1": 0.2, "R2": 0.5, "R3": 0.8}
 
@@ -268,7 +268,7 @@ def _report_reference(rows, prosody):
         for feature in FEATURES:
             groups = [values[feature] for (e, o, _), (_, values) in cells.items()
                       if (e, o) == (emotion, octant) and values[feature]]
-            means = [sum(values) / len(values) for values in groups]
+            means = [ordered_sum(values) / len(values) for values in groups]
             if len(means) >= 2:
                 rc[(emotion, octant, feature)] = max(means) - min(means)
             if groups:
@@ -312,7 +312,8 @@ def test_build_report_matches_python_reference(records, data):
         cell = report.cells[key]
         assert cell.count == count
         for feature in FEATURES:  # each mean summed in record order, so exact
-            expected = sum(values[feature]) / len(values[feature]) if values[feature] else None
+            expected = (ordered_sum(values[feature]) / len(values[feature])
+                        if values[feature] else None)
             assert getattr(cell, f"{feature}_mean") == expected
     assert report.rc == rc  # max - min of the populated region means
     assert set(report.avg) == set(avg)
@@ -322,7 +323,8 @@ def test_build_report_matches_python_reference(records, data):
     neutral_ids = [i for i, row in rows.items() if row[0] == "neutral"]
     assert report.neutral.count == len(neutral_ids)
     energies = [prosody[i].energy_mean for i in neutral_ids if i in prosody]
-    assert report.neutral.energy_mean == (sum(energies) / len(energies) if energies else None)
+    assert report.neutral.energy_mean == (ordered_sum(energies) / len(energies)
+                                          if energies else None)
 
 
 def test_build_report_sums_each_cell_in_record_order():
@@ -343,3 +345,18 @@ def test_build_report_sums_each_cell_in_record_order():
         for rec_id in order:
             total += getattr(prosody[rec_id], field)
         assert getattr(cell, f"{feature}_mean") == total / len(ids)
+
+
+def test_build_report_avg_adds_region_sums_left_to_right():
+    # one record per region: 100.1 + 200.3 + 300.7 added left to right rounds
+    # away from the exact (and the compensated) sum, so this pins the order
+    theta, phi = _octant_angles("I")
+    pitch = {"R1": 100.1, "R2": 200.3, "R3": 300.7}
+    manifest = manifest_of(UtteranceRecord(region, "s", "angry", VadPoint(0.5, 0.5, 0.5))
+                           for region in pitch)
+    easvs = EasvSet.from_rows({region: ("angry", REGION_R_IQR[region], theta, phi)
+                               for region in pitch})
+    prosody = {region: ProsodyStats(hz, 1.0, 1.0) for region, hz in pitch.items()}
+    avg = build_report(easvs, prosody, manifest).avg[("angry", "I", "pitch")]
+    assert avg == ((0.0 + 100.1) + 200.3 + 300.7) / 3
+    assert avg != math.fsum(pitch.values()) / 3

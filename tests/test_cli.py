@@ -650,7 +650,7 @@ def _write_8bit_wav(path: Path, sr: int) -> None:
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("source", ["--wav-list", "--manifest"])
-@pytest.mark.parametrize("case", ["missing", "8-bit", "short"])
+@pytest.mark.parametrize("case", ["missing", "8-bit", "short", "empty", "truncated"])
 def test_prosody_wav_errors_name_source_and_wav(tmp_path, capsys, case, source, jobs):
     sr = 16000
     good = tmp_path / "a_good.wav"
@@ -660,6 +660,10 @@ def test_prosody_wav_errors_name_source_and_wav(tmp_path, capsys, case, source, 
         _write_8bit_wav(bad, sr)
     elif case == "short":
         write_wav(bad, sine_samples(200.0, 0.05, sr), sr)
+    elif case == "empty":
+        bad.write_bytes(b"")
+    elif case == "truncated":  # cut one byte into the last frame
+        bad.write_bytes(good.read_bytes()[:-1])
     listing = tmp_path / "inputs.txt"
     if source == "--wav-list":
         listing.write_text(f"{good}\n{bad}\n")
@@ -673,9 +677,25 @@ def test_prosody_wav_errors_name_source_and_wav(tmp_path, capsys, case, source, 
     err = capsys.readouterr().err
     message = {"missing": "[Errno 2] No such file or directory",
                "8-bit": "unsupported encoding: expected 16-bit PCM, got 8-bit",
-               "short": "audio too short for pitch analysis"}[case]
+               "short": "audio too short for pitch analysis",
+               "empty": "unsupported encoding: truncated file, header ends early",
+               "truncated": "unsupported encoding: truncated file, data ends mid-frame"}[case]
     assert err.startswith(f"error: {listing}: {bad}: {message}")
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_prosody_wav_list_rejects_repeated_path(tmp_path, capsys, jobs):
+    sr = 16000
+    wav = tmp_path / "t.wav"
+    write_wav(wav, sine_samples(200.0, 0.4, sr), sr)
+    listing = tmp_path / "wavs.txt"
+    listing.write_text(f"{wav}\n{wav}\n")
+    out = tmp_path / "stats.jsonl"
+    assert run(["prosody", "--wav-list", str(listing), "--jobs", jobs, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {listing}: line 2: duplicate id '{wav}' (first seen at line 1)\n")
     assert not out.exists()
 
 

@@ -17,6 +17,8 @@ from vadsphere import (
 )
 from vadsphere.geometry import OCTANT_ORDER
 
+from conftest import ordered_sum
+
 
 def test_neutral_center_symmetry():
     c = neutral_center([VadPoint(0, 0, 0), VadPoint(1, 1, 1)])
@@ -199,7 +201,7 @@ def test_neutral_center_sums_in_order():
     rng = np.random.default_rng(6)
     points = [VadPoint(*p) for p in rng.uniform(0, 1, (1000, 3))]
     # the mean a plain left-to-right sum gives, bit for bit
-    expected = tuple(sum(p[i] for p in points) / len(points) for i in range(3))
+    expected = tuple(ordered_sum(p[i] for p in points) / len(points) for i in range(3))
     assert neutral_center(points).point == expected
     assert neutral_center(np.asfortranarray(points)).point == expected  # any memory order
 
