@@ -4,8 +4,8 @@
   mean Euclidean distance to the emotion's points over the mean distance to
   the neutral points (plus a guard epsilon).
 - ``objective_values``: the same objective at each row of a (k, 3) point
-  array, batched as BLAS matmuls; the compass stencil of ``solve_centroid``.
-- ``grid_objective_values``: ``objective_values`` at every point of a cubic
+  array; the compass stencil of ``solve_centroid``.
+- ``grid_objective_values``: the same objective at every point of a cubic
   lattice, in C order; the lattice scan of ``grid_search_centroid``, which
   ``solve_centroid`` starts from.
 - ``yin_difference``: the squared difference function d(tau) of YIN
@@ -14,6 +14,12 @@
   for 1344). d is a sum over the window, so d over a window equals the sum
   of d over consecutive sub-windows of it, each with its own tau_max tail;
   ``prosody.estimate_f0`` builds each frame's d from such sub-windows.
+
+The three centroid kernels share one arithmetic: the squared column
+differences added in axis order, the square root, and the mean over the
+cloud. So each value of the two batched kernels equals ``distance_ratio``
+at that point bit for bit, and the solver compares the objective itself,
+never an approximation of it.
 
 ``centroid`` and ``prosody`` call them as ``_kernels.<name>``, so wrapping a
 module attribute reaches every call; the traced benchmark run counts
@@ -29,8 +35,8 @@ import numpy as np
 # Read by perfbench/traced.py for its kernels.using_numba label; always False.
 USING_NUMBA = False
 
-# Elements of one (candidate rows, points) distance matrix in
-# objective_values: 2 MB each, so the temporaries stay small at any class size.
+# Elements of one (candidates, points) block of squared distances: 2 MB, so
+# the temporaries stay small at any class size and lattice step.
 _GRID_CHUNK_ELEMENTS = 1 << 18
 
 
@@ -42,28 +48,57 @@ def distance_ratio(m: np.ndarray, targets: np.ndarray,
     return float(dist_t / (dist_n + eps))
 
 
+def _mean_distances(squared, shape: tuple[int, int], n: int) -> np.ndarray:
+    """Mean distance from each candidate of a (rows, cols) array to n points.
+
+    ``squared(rows, cols)`` gives the (rows, cols, n) squared distances for two
+    slices of the candidates, sized so that each block holds at most
+    ``_GRID_CHUNK_ELEMENTS`` elements (one candidate's n at least). Each block
+    is rooted in place and averaged over its last axis, as ``distance_ratio``
+    averages one candidate's distances.
+    """
+    out = np.empty(shape)
+    cols = min(shape[1], max(1, _GRID_CHUNK_ELEMENTS // n))
+    rows = max(1, _GRID_CHUNK_ELEMENTS // (cols * n))
+    for r in range(0, shape[0], rows):
+        for c in range(0, shape[1], cols):
+            sq = squared(slice(r, r + rows), slice(c, c + cols))
+            out[r:r + rows, c:c + cols] = np.sqrt(sq, out=sq).mean(axis=2)
+    return out
+
+
 def objective_values(points: np.ndarray, targets: np.ndarray,
                      neutrals: np.ndarray, eps: float) -> np.ndarray:
     """Objective at each row of a (k, 3) array of candidate centers."""
-    t_sq = (targets ** 2).sum(axis=1)
-    n_sq = (neutrals ** 2).sum(axis=1)
-    out = np.empty(points.shape[0])
-    rows = max(1, _GRID_CHUNK_ELEMENTS // max(len(targets), len(neutrals)))
-    for lo in range(0, points.shape[0], rows):
-        chunk = points[lo:lo + rows]
-        m_sq = (chunk ** 2).sum(axis=1)[:, None]
-        # |m - e|^2 expanded so the cross term is a BLAS matmul
-        dt = np.sqrt(np.maximum(m_sq - 2.0 * chunk @ targets.T + t_sq, 0.0))
-        dn = np.sqrt(np.maximum(m_sq - 2.0 * chunk @ neutrals.T + n_sq, 0.0))
-        out[lo:lo + rows] = dt.mean(axis=1) / (dn.mean(axis=1) + eps)
-    return out
+    m = points[:, :, None, None]  # candidate, axis, then two broadcast axes
+
+    def mean_distances(cloud: np.ndarray) -> np.ndarray:
+        def squared(rows: slice, _: slice) -> np.ndarray:
+            return (((cloud[:, 0] - m[rows, 0]) ** 2 + (cloud[:, 1] - m[rows, 1]) ** 2)
+                    + (cloud[:, 2] - m[rows, 2]) ** 2)
+        return _mean_distances(squared, (len(points), 1), len(cloud))[:, 0]
+
+    return mean_distances(targets) / (mean_distances(neutrals) + eps)
 
 
 def grid_objective_values(axis: np.ndarray, targets: np.ndarray,
                           neutrals: np.ndarray, eps: float) -> np.ndarray:
-    """Objective at every lattice point of axis x axis x axis, C order."""
-    pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
-    return objective_values(pts.reshape(-1, 3), targets, neutrals, eps)
+    """Objective at every lattice point of axis x axis x axis, C order.
+
+    Each axis's squared differences are formed once per axis value, and a
+    point's squared distances are (Dx[i] + Dy[j]) + Dz[k].
+    """
+    a = axis.size
+
+    def mean_distances(cloud: np.ndarray) -> np.ndarray:
+        dx, dy, dz = ((cloud[:, c] - axis[:, None]) ** 2 for c in range(3))
+        out = np.empty((a, a, a))
+        for i in range(a):
+            out[i] = _mean_distances(lambda j, k: (dx[i] + dy[j])[:, None] + dz[k],
+                                     (a, a), len(cloud))
+        return out.ravel()
+
+    return mean_distances(targets) / (mean_distances(neutrals) + eps)
 
 
 @functools.lru_cache(maxsize=64)  # one entry per frame length in use

@@ -79,11 +79,13 @@ def solve_centroid(targets: Sequence, neutrals: Sequence,
 
     Runs ``grid_search_centroid`` at step 0.1, then a compass search from
     its point: each step scores the six points +-h along each axis, clipped to
-    [0, 1]^3, and moves to the best of them if its objective (re-scored with
-    ``_kernels.distance_ratio``) is strictly higher, else halves h, from
-    h = 0.05 down to 1e-9. So the result lies in the cube and its objective
-    is at least that of every lattice point. No randomness: the same inputs
-    give the same Centroid, bit for bit.
+    [0, 1]^3, and moves to the best of them if its objective is strictly
+    higher, else halves h, from h = 0.05 down to 1e-9. The stencil values
+    are the objective's exact values (``_kernels.objective_values`` equals
+    ``_kernels.distance_ratio`` bit for bit), so the re-score of the chosen
+    point returns the same value. The result lies in the cube and its
+    objective is at least that of every lattice point. No randomness: the
+    same inputs give the same Centroid, bit for bit.
     """
     cfg = cfg or SolverConfig()
     t_arr = _points(targets)
@@ -92,6 +94,7 @@ def solve_centroid(targets: Sequence, neutrals: Sequence,
     start = grid_search_centroid(t_arr, n_arr, _LATTICE_STEP, eps)
     best_point, best_value = np.array(start.point), start.objective
     h = _COMPASS_STEP
+    moves = halvings = 0
     while h > _COMPASS_MIN_STEP:
         stencil = np.clip(best_point + h * _COMPASS_DIRECTIONS, 0.0, 1.0)
         values = _kernels.objective_values(stencil, t_arr, n_arr, eps)
@@ -99,9 +102,14 @@ def solve_centroid(targets: Sequence, neutrals: Sequence,
         value = _kernels.distance_ratio(point, t_arr, n_arr, eps)
         if value > best_value:
             best_point, best_value = point, value
+            moves += 1
         else:
             h *= 0.5
-    logger.debug("solve_centroid: best objective %.6f at %s", best_value, best_point)
+            halvings += 1
+    logger.debug("solve_centroid: best objective %.6f at %s; lattice winner %.6f, "
+                 "compass gain %.3g in %d moves and %d halvings",
+                 best_value, best_point, start.objective, best_value - start.objective,
+                 moves, halvings)
     return Centroid(point=tuple(float(x) for x in best_point), objective=float(best_value))
 
 

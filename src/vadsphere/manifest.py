@@ -357,8 +357,9 @@ def read_wav(path) -> AudioBuffer:
     """Load a 16-bit PCM RIFF/WAVE file as mono float64 in [-1, 1].
 
     Multichannel input is downmixed by the arithmetic channel mean. Anything
-    that is not 16-bit PCM, or a file cut short in its header or mid-frame,
-    is rejected.
+    that is not 16-bit PCM is rejected, as is a data chunk that declares no
+    frames or holds fewer bytes than it declares: a file cut short anywhere,
+    or a streaming writer's unfilled 0xFFFFFFFF size.
     """
     try:
         with wave.open(str(path), "rb") as wav:
@@ -369,13 +370,18 @@ def read_wav(path) -> AudioBuffer:
             if samp_width != 2:
                 raise ValueError(
                     f"unsupported encoding: expected 16-bit PCM, got {8 * samp_width}-bit")
-            raw = wav.readframes(n_frames)
+            # no more frames than the file has bytes for: wave allocates the
+            # declared size, 4 GB for an unfilled 0xFFFFFFFF, before it reads
+            raw = wav.readframes(min(n_frames, Path(path).stat().st_size // (2 * n_channels)))
     except wave.Error as exc:
         raise ValueError(f"unsupported encoding: {exc}") from exc
     except EOFError:
         raise ValueError("unsupported encoding: truncated file, header ends early") from None
-    if len(raw) % (2 * n_channels):
-        raise ValueError("unsupported encoding: truncated file, data ends mid-frame")
+    if n_frames == 0:
+        raise ValueError("unsupported encoding: data chunk declares no frames")
+    if len(raw) != n_frames * 2 * n_channels:
+        where = "mid-frame" if len(raw) % (2 * n_channels) else "early"
+        raise ValueError(f"unsupported encoding: truncated file, data ends {where}")
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / INT16_SCALE
     if n_channels > 1:
         data = data.reshape(-1, n_channels).mean(axis=1)

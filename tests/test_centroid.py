@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from vadsphere import (
     SolverConfig,
     VadPoint,
+    _kernels,
     grid_search_centroid,
     objective,
     solve_centroid,
@@ -165,3 +166,39 @@ def test_solver_config_validation():
     for eps in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             SolverConfig(denominator_epsilon=eps)
+
+
+def test_rescores_return_the_kernel_values(monkeypatch):
+    # the lattice winner's re-score equals the lattice maximum, and every
+    # compass re-score equals the largest stencil value it was chosen by
+    calls = []
+
+    def recorded(name, fn):
+        def wrapper(*args):
+            calls.append((name, fn(*args)))
+            return calls[-1][1]
+        return wrapper
+
+    monkeypatch.setattr(_kernels, "objective_values",
+                        recorded("stencil", _kernels.objective_values))
+    monkeypatch.setattr(_kernels, "distance_ratio",
+                        recorded("rescore", _kernels.distance_ratio))
+    axis = np.minimum(np.arange(11) * 0.1, 1.0)
+    rng = np.random.default_rng(2024)
+    for _ in range(4):
+        targets, neutrals = random_solver_instance(rng, n=80)
+        t = np.array([p.as_tuple() for p in targets])
+        n = np.array([p.as_tuple() for p in neutrals])
+        lattice_max = _kernels.grid_objective_values(axis, t, n, 1e-6).max()
+        calls.clear()
+        sol = solve_centroid(targets, neutrals)
+        assert calls[0] == ("rescore", lattice_max)
+        compass = calls[1:]
+        assert compass and len(compass) % 2 == 0
+        best = lattice_max
+        for (stencil, values), (rescore, value) in zip(compass[::2], compass[1::2]):
+            assert (stencil, rescore) == ("stencil", "rescore")
+            assert value == values.max()
+            best = max(best, value)  # the compass accepts only a higher value
+        assert sol.objective == best
+        assert grid_search_centroid(targets, neutrals, 0.1).objective == lattice_max

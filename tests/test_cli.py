@@ -686,6 +686,25 @@ def test_prosody_wav_errors_name_source_and_wav(tmp_path, capsys, case, source, 
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("case", ["frame-cut", "header-only"])
+def test_prosody_rejects_wav_short_of_its_data(tmp_path, capsys, case, jobs):
+    # data that stops at a frame boundary short of the declared length, and a
+    # header that declares frames but has none, exit 1 and write nothing
+    sr = 16000
+    good = tmp_path / "a_good.wav"
+    write_wav(good, sine_samples(200.0, 0.4, sr), sr)
+    bad = tmp_path / "b_bad.wav"
+    bad.write_bytes(good.read_bytes()[:-2 if case == "frame-cut" else 44])
+    listing = tmp_path / "wavs.txt"
+    listing.write_text(f"{good}\n{bad}\n")
+    out = tmp_path / "stats.jsonl"
+    assert run(["prosody", "--wav-list", str(listing), "--jobs", jobs, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {listing}: {bad}: unsupported encoding: truncated file, data ends early\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
 def test_prosody_wav_list_rejects_repeated_path(tmp_path, capsys, jobs):
     sr = 16000
     wav = tmp_path / "t.wav"

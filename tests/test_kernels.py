@@ -95,3 +95,46 @@ def test_grid_values_match_scalar_objective():
     for m, value in zip(points, values):
         direct = _kernels.distance_ratio(m, TARGETS, NEUTRALS, 1e-6)
         assert value == pytest.approx(direct, abs=1e-9)
+
+
+_STEPS = (0.5, 0.3, 0.25, 0.1, 0.1 + 1e-12)  # the last puts 10 * step above 1.0
+_unit = st.floats(0.0, 1.0, allow_nan=False)
+
+
+def _lattice_axis(step):
+    """The axis grid_search_centroid scans at `step`."""
+    return np.minimum(np.arange(int(np.floor(1.0 / step + 1e-9)) + 1) * step, 1.0)
+
+
+@st.composite
+def _cloud(draw, axis):
+    """1-40 points: free points, lattice nodes (zero distances), repeats."""
+    node = st.tuples(*[st.sampled_from(axis.tolist())] * 3)
+    base = draw(st.lists(st.one_of(st.tuples(_unit, _unit, _unit), node),
+                         min_size=1, max_size=20))
+    repeats = draw(st.lists(st.sampled_from(base), max_size=40 - len(base)))
+    return np.array(base + repeats, dtype=np.float64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), step=st.sampled_from(_STEPS),
+       chunk=st.sampled_from([1, 5, 23, 64, 300, 1 << 18]),
+       eps=st.sampled_from([1e-6, 0.25]))
+def test_batched_values_equal_distance_ratio(data, step, chunk, eps):
+    # bit for bit, at every lattice point and every candidate row, whatever
+    # the chunk size; small chunks split the lattice's last axis mid-way
+    axis = _lattice_axis(step)
+    targets, neutrals = data.draw(_cloud(axis)), data.draw(_cloud(axis))
+    points = np.array(data.draw(st.lists(
+        st.one_of(st.tuples(_unit, _unit, _unit), st.sampled_from(targets.tolist())),
+        min_size=1, max_size=12)), dtype=np.float64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_GRID_CHUNK_ELEMENTS", chunk)
+        grid = _kernels.grid_objective_values(axis, targets, neutrals, eps)
+        rows = _kernels.objective_values(points, targets, neutrals, eps)
+    lattice = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    assert grid.shape == (len(lattice),) and rows.shape == (len(points),)
+    for m, value in zip(lattice, grid):
+        assert value == _kernels.distance_ratio(m, targets, neutrals, eps), m
+    for m, value in zip(points, rows):
+        assert value == _kernels.distance_ratio(m, targets, neutrals, eps), m

@@ -211,6 +211,59 @@ def test_read_wav_samples_bounded(tmp_path):
     assert buf.samples[0] == -1.0
 
 
+def _forty_frame_wav(tmp_path):
+    """A 124-byte mono WAV: a 44-byte header and 40 frames of 2 bytes."""
+    path = tmp_path / "forty.wav"
+    write_wav(path, np.linspace(-0.5, 0.5, 40), 16000)
+    data = path.read_bytes()
+    assert len(data) == 124 and data[36:40] == b"data"
+    return data
+
+
+def test_read_wav_rejects_data_short_of_its_declared_length(tmp_path):
+    data = _forty_frame_wav(tmp_path)
+    path = tmp_path / "cut.wav"
+    # every cut inside the data, at a frame boundary or not, down to the
+    # header alone (which declares 40 frames and holds none)
+    for end in range(44, 124):
+        path.write_bytes(data[:end])
+        where = "mid-frame" if end % 2 else "early"
+        with pytest.raises(ValueError, match=f"^unsupported encoding: truncated file, "
+                                             f"data ends {where}$"):
+            read_wav(path)
+    path.write_bytes(data)
+    assert read_wav(path).samples.size == 40
+
+
+def test_read_wav_rejects_placeholder_sizes(tmp_path, monkeypatch):
+    # a streaming writer that never went back to fill in its sizes leaves
+    # 0xFFFFFFFF in them; the data chunk then declares more than the file holds
+    import wave
+    requested = []
+    readframes = wave.Wave_read.readframes
+    monkeypatch.setattr(wave.Wave_read, "readframes",
+                        lambda wav, n: requested.append(n) or readframes(wav, n))
+    data = _forty_frame_wav(tmp_path)
+    unfilled = (0xFFFFFFFF).to_bytes(4, "little")
+    path = tmp_path / "streamed.wav"
+    for header in (data[:40] + unfilled,
+                   data[:4] + unfilled + data[8:40] + unfilled):
+        path.write_bytes(header + data[44:])
+        with pytest.raises(ValueError, match="^unsupported encoding: truncated file, "
+                                             "data ends early$"):
+            read_wav(path)
+    # the read asks for what the file can hold, not the 4 GB its header declares
+    assert requested and max(requested) * 2 <= len(data)
+
+
+def test_read_wav_rejects_declared_empty_data(tmp_path):
+    data = _forty_frame_wav(tmp_path)
+    path = tmp_path / "empty-data.wav"
+    path.write_bytes(data[:4] + (36).to_bytes(4, "little") + data[8:40] + bytes(4))
+    with pytest.raises(ValueError, match="^unsupported encoding: data chunk declares no frames$"):
+        read_wav(path)
+
+
 def test_parse_lines_restores_garbage_collection():
     import gc
     from vadsphere.manifest import parse_lines
