@@ -55,6 +55,7 @@ from .pipeline import (
 from .prosody import (
     F0Config,
     F0Track,
+    ProsodySet,
     ProsodyStats,
     align_tracks,
     estimate_f0,
@@ -76,6 +77,7 @@ __all__ = [
     "F0Config",
     "F0Track",
     "IqrBounds",
+    "ProsodySet",
     "ProsodyStats",
     "SolverConfig",
     "StyleOctant",

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import repeat
+from typing import Sequence
 
 import numpy as np
 
 from .geometry import OCTANT_ORDER, octant_codes, to_cartesian
 from .manifest import DatasetManifest
 from .pipeline import EasvSet
-from .prosody import ProsodyStats
+from .prosody import ProsodySet
 
 FEATURES = ("pitch", "energy", "duration")
 
@@ -71,7 +72,7 @@ def range_rc(values: Sequence[float | None],
 
 
 def build_report(easvs: EasvSet,
-                 prosody: Mapping[str, ProsodyStats],
+                 prosody: ProsodySet,
                  manifest: DatasetManifest) -> AnalysisReport:
     """Assign every record to its (emotion, octant, region) cell and aggregate.
 
@@ -81,7 +82,6 @@ def build_report(easvs: EasvSet,
     ones. Means are arithmetic, each sum taken in record order; a cell's
     pitch mean covers only the records that have a voiced pitch estimate.
     """
-    listed_emotion = dict(zip(manifest.ids, manifest.emotions))
     emotion_order = tuple(e for e in manifest.class_rows() if e != manifest.neutral_label)
     # cells are numbered (emotion, octant, region) in C order; neutral
     # records share the one bin after them
@@ -89,30 +89,31 @@ def build_report(easvs: EasvSet,
     neutral_bin = len(emotion_order) * per_emotion
     first_bin = {e: i * per_emotion for i, e in enumerate(emotion_order)}
     first_bin[manifest.neutral_label] = neutral_bin
-    bins, values = [], []  # per record: its emotion's first bin, (pitch, energy, duration)
-    for rec_id, emotion in zip(easvs.ids, easvs.emotions):
-        listed = listed_emotion.get(rec_id)
-        if listed is None:
-            raise ValueError(f"easv id '{rec_id}' not found in manifest")
-        if listed != emotion:
-            raise ValueError(
-                f"emotion mismatch for id '{rec_id}': manifest says "
-                f"'{listed}', easv says '{emotion}'")
-        stats = prosody.get(rec_id)
-        if stats is None and emotion != manifest.neutral_label:
-            raise ValueError(f"missing prosody for record '{rec_id}'")
-        bins.append(first_bin[emotion])
-        values.append((math.nan,) * 3 if stats is None else (
-            math.nan if stats.pitch_mean_hz is None else stats.pitch_mean_hz,
-            stats.energy_mean, stats.duration_s))
+    # per record: its emotion in the manifest, and its prosody row; a record
+    # without prosody reads the row of NaNs after the last
+    listed = list(map(dict(zip(manifest.ids, manifest.emotions)).get, easvs.ids))
+    no_row = len(prosody)
+    rows = list(map(dict(zip(prosody.ids, range(no_row))).get, easvs.ids, repeat(no_row)))
+    if listed != list(easvs.emotions) or no_row in rows:
+        for rec_id, emotion, listed_as, row in zip(easvs.ids, easvs.emotions, listed, rows):
+            if listed_as is None:
+                raise ValueError(f"easv id '{rec_id}' not found in manifest")
+            if listed_as != emotion:
+                raise ValueError(
+                    f"emotion mismatch for id '{rec_id}': manifest says "
+                    f"'{listed_as}', easv says '{emotion}'")
+            if row == no_row and emotion != manifest.neutral_label:
+                raise ValueError(f"missing prosody for record '{rec_id}'")
+    values = np.vstack([np.column_stack([prosody.pitch_mean_hz, prosody.energy_mean,
+                                         prosody.duration_s]),
+                        np.full(len(FEATURES), math.nan)])[rows]
 
-    cell = np.array(bins, dtype=np.intp)
+    cell = np.array(list(map(first_bin.__getitem__, easvs.emotions)), dtype=np.intp)
     octants = octant_codes(to_cartesian(np.column_stack(
         [np.ones(len(easvs)), easvs.theta, easvs.phi])))
     emotional = cell != neutral_bin
     cell[emotional] += (octants * len(REGION_ORDER) + bin_intensity(easvs.r_iqr))[emotional]
     count = np.bincount(cell, minlength=neutral_bin + 1).tolist()
-    values = np.array(values, dtype=np.float64).reshape(-1, len(FEATURES))
     sums, counts = [], []  # per feature, per bin
     for column in values.T:
         present = ~np.isnan(column)

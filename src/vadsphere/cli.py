@@ -14,7 +14,8 @@ Vector and VAD files are decoded by column and diagnosed by line: the whole
 file goes through np.loadtxt, and only a file it cannot read as equal rows
 goes through the per-line parser, `_parse_vector`, which defines the format
 and names the faulty line. The accepted syntax is that of the per-line
-parser; manifests follow the same rule (see `manifest`).
+parser; manifests, EASV and prosody files follow the same rule (see
+`manifest`).
 
 Set VADSPHERE_LOG=debug|info|warning|error to control log verbosity.
 """
@@ -36,6 +37,7 @@ import numpy as np
 from .analysis import build_report, render_report
 from .geometry import Centroid, RowError, StyleOctant, check_in_cube, neutral_center
 from .manifest import (
+    JsonLines,
     json_object,
     label_field,
     line_error,
@@ -59,6 +61,7 @@ from .pipeline import (
 )
 from .prosody import (
     F0Config,
+    ProsodySet,
     ProsodyStats,
     align_tracks,
     f1_vuv,
@@ -313,13 +316,14 @@ def _cmd_metrics(args) -> str:
     return _tsv(results)
 
 
-def _stats_line(rec_id: str, stats: ProsodyStats) -> str:
-    return json.dumps({
-        "id": rec_id,
-        "pitch_mean_hz": stats.pitch_mean_hz,
-        "energy_mean": stats.energy_mean,
-        "duration_s": stats.duration_s,
-    }) + "\n"
+# the prosody file: one utterance per line, pitch null when nothing is voiced
+_PROSODY_LINES = JsonLines(("id", str), ("pitch_mean_hz", None), ("energy_mean", float),
+                           ("duration_s", float))
+
+
+def _prosody_set_to_jsonl(prosody: ProsodySet) -> str:
+    return _PROSODY_LINES.write(prosody.ids, prosody.pitch_mean_hz, prosody.energy_mean,
+                                prosody.duration_s)
 
 
 def _cmd_prosody(args) -> str:
@@ -347,23 +351,27 @@ def _cmd_prosody(args) -> str:
 
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         computed = list(pool.map(work, jobs_input))
-    return "".join(_stats_line(rec_id, stats) for rec_id, stats in computed)
+    return _prosody_set_to_jsonl(ProsodySet.from_stats(dict(computed)))
 
 
-def _parse_prosody_line(line: str) -> tuple[str, ProsodyStats]:
+def _parse_prosody_line(line: str) -> tuple[str, tuple]:
     obj = json_object(line, "prosody record")
     rec_id = label_field(obj, "id")  # text, as manifest and EASV ids are
     pitch = obj["pitch_mean_hz"]
-    return rec_id, ProsodyStats(
-        pitch_mean_hz=None if pitch is None else number_field(obj, "pitch_mean_hz"),
-        energy_mean=number_field(obj, "energy_mean"), duration_s=number_field(obj, "duration_s"))
+    return rec_id, (math.nan if pitch is None else number_field(obj, "pitch_mean_hz"),
+                    number_field(obj, "energy_mean"), number_field(obj, "duration_s"))
+
+
+def _prosody_set_from_jsonl(text: str) -> ProsodySet:
+    """Parse _prosody_set_to_jsonl output; a fault, a value out of range or a
+    duplicate id names its line."""
+    return _PROSODY_LINES.read(text, _parse_prosody_line, ProsodySet)
 
 
 def _cmd_analyze(args) -> str:
     manifest = _parse_file(args.manifest, parse_manifest, args.neutral_label)
     easvs = _parse_file(args.easv, easv_set_from_jsonl)
-    prosody = _parse_file(args.prosody,
-                          lambda text: unique_ids(parse_lines(text, _parse_prosody_line)))
+    prosody = _parse_file(args.prosody, _prosody_set_from_jsonl)
     report = build_report(easvs, prosody, manifest)
     return render_report(report, args.format)
 

@@ -13,7 +13,12 @@ columns by ``_decode_manifest``, which accepts only a strict subset of valid
 manifests (string labels, ``vad`` a list of three JSON numbers in the unit
 cube, unique ids) and gives the same columns on it. Any other input, and
 every fault, goes through the per-line parser, so the accepted syntax, the
-values read and every diagnostic are those of ``_parse_record``.
+values read and every diagnostic are those of ``_parse_record``. The files
+the tool writes itself, EASV (``pipeline.easv_set_from_jsonl``) and prosody
+(``cli._prosody_set_from_jsonl``), follow the same rule through
+``JsonLines``: one pattern, built from the same fields as the writer's
+template, takes every line of the tool's own output into columns, and any
+other text goes through the format's per-line parser.
 
 Every JSON input (manifest, EASV and prosody lines, model files) is decoded
 by ``json_object`` and read through ``label_field``, ``number_field`` and
@@ -41,13 +46,15 @@ import gc
 import io
 import json
 import math
+import re
 import wave
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -266,6 +273,104 @@ def number_list(values, key: str) -> list[float]:
     except OverflowError:  # an integer beyond the float range
         pass
     raise ValueError(f"{key} must be a finite number")
+
+
+# A value as JsonLines writes it and as its column decoder takes it: a string
+# of printable ASCII without `"` or `\`, which json.loads reads as itself, or
+# a number with a fraction or an exponent, which json.loads reads with float()
+# as the decoder does. A bare integer is left to the per-line path: json.loads
+# reads -0 as the int 0, so +0.0, where float("-0") is -0.0.
+_NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
+_VALUE_PATTERNS = {str: r'"([ !#-\[\]-~]*)"', float: f"({_NUMBER})", None: f"(null|{_NUMBER})"}
+
+
+class JsonLines:
+    """A JSON-lines file the tool writes: one object per line, with the keys
+    of `fields` in their order, as json.dumps writes it with its default
+    separators. A field is (key, kind): str for text, float for a finite
+    number, and None for a finite number or null, held as NaN.
+
+    `write` makes that text from columns, by one template built from the
+    fields. `read` takes it back into columns by one pattern built from the
+    same fields, when every non-blank line is in the exact form `write`
+    gives; any other text goes through the format's per-line parser, which
+    defines the accepted syntax and names every fault.
+    """
+
+    def __init__(self, *fields: tuple[str, type | None]) -> None:
+        self.keys = tuple(key for key, _ in fields)
+        self.kinds = tuple(kind for _, kind in fields)
+        self._names = [json.dumps(key) for key in self.keys]
+        self._template = "{{" + ", ".join(f"{name}: {{}}" for name in self._names) + "}}\n"
+
+    @cached_property
+    def _pattern(self) -> re.Pattern:
+        # compiled on first use: a process that reads no such file, such as
+        # control-vec, does not pay for it
+        return re.compile(
+            r"^\{" + ", ".join(re.escape(f"{name}: ") + _VALUE_PATTERNS[kind]
+                              for name, kind in zip(self._names, self.kinds)) + r"\}$",
+            re.MULTILINE)
+
+    def write(self, *columns) -> str:
+        """One line per row of `columns`: sequences of str for text fields,
+        float arrays for number fields, NaN written null where allowed."""
+        texts = []
+        for key, kind, column in zip(self.keys, self.kinds, columns):
+            if kind is str:
+                texts.append(map(encode_basestring_ascii, column))
+                continue
+            values = np.asarray(column, dtype=np.float64)
+            written = values[~np.isnan(values)] if kind is None else values
+            if not np.isfinite(written).all():
+                raise ValueError(f"{key} {float(written[~np.isfinite(written)][0])} is not finite")
+            # repr of a Python float, as json.dumps writes a finite one (numpy 2
+            # writes a float64's repr as np.float64(...))
+            values = values.tolist()
+            texts.append(map(repr, values) if kind is float
+                         else ("null" if v != v else repr(v) for v in values))
+        return "".join(map(self._template.format, *texts))
+
+    def read(self, text: str, parse_line: Callable, make: Callable):
+        """make(*columns) of `text`, one column per field, rows in line order.
+
+        The columns are decoded by the pattern when every non-blank line is
+        in the form `write` gives, the ids (the first field) are unique and
+        make raises no RowError. Otherwise parse_line reads each line, giving
+        (id, the row's other values), and a fault or a duplicate id is a
+        ValueError naming its line, as is a RowError of make.
+        """
+        columns = self._decode(text)
+        if columns is not None and len(set(columns[0])) == len(columns[0]):
+            try:
+                return make(*columns)
+            except RowError:
+                pass  # named by the per-line path
+        numbered = parse_lines(text, parse_line)
+        rows = unique_ids(numbered)
+        values = zip(*rows.values()) if rows else ((),) * (len(self.keys) - 1)
+        try:
+            return make(tuple(rows), *values)
+        except RowError as exc:
+            raise line_error(numbered[exc.row][0], exc) from exc
+
+    def _decode(self, text: str) -> list | None:
+        """The columns of `text` when each of its numbered_lines is in the
+        form `write` gives, with finite numbers; None otherwise."""
+        with _collector_paused():
+            rows = self._pattern.findall(text)
+        # a match is a whole line of printable ASCII, so it is one numbered line
+        if len(rows) != len(numbered_lines(text)[1]):
+            return None
+        columns = []
+        for kind, column in zip(self.kinds, zip(*rows) if rows else ((),) * len(self.kinds)):
+            if kind is not str:
+                column = np.array([math.nan if v == "null" else float(v) for v in column]
+                                  if kind is None else list(map(float, column)))
+                if np.isinf(column).any():  # 1e400; a NaN is only ever a null
+                    return None
+            columns.append(column)
+        return columns
 
 
 _EMBEDDINGS = ("emo_embedding", "spk_embedding")

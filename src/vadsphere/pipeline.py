@@ -25,14 +25,12 @@ from .centroid import SolverConfig, solve_centroid
 from .geometry import Centroid, RowError, StyleOctant, first_fault, shift, to_spherical
 from .manifest import (
     DatasetManifest,
+    JsonLines,
     json_object,
     label_field,
-    line_error,
     number_field,
     number_list,
     object_value,
-    parse_lines,
-    unique_ids,
 )
 
 logger = logging.getLogger(__name__)
@@ -291,14 +289,14 @@ def model_from_json(text: str) -> EasvModel:
         raise ValueError(f"{where}{exc}") from None
 
 
+# the EASV file: one record per line, angles in radians
+_EASV_LINES = JsonLines(("id", str), ("emotion", str), ("r_iqr", float), ("theta", float),
+                        ("phi", float))
+
+
 def easv_set_to_jsonl(easvs: EasvSet) -> str:
     """One (id, emotion, r_iqr, theta, phi) object per line; angles in radians."""
-    lines = [json.dumps({"id": rec_id, "emotion": emotion, "r_iqr": r_iqr,
-                         "theta": theta, "phi": phi})
-             for rec_id, emotion, r_iqr, theta, phi in zip(
-                 easvs.ids, easvs.emotions, easvs.r_iqr.tolist(), easvs.theta.tolist(),
-                 easvs.phi.tolist())]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return _EASV_LINES.write(easvs.ids, easvs.emotions, easvs.r_iqr, easvs.theta, easvs.phi)
 
 
 def _parse_easv_line(line: str) -> tuple[str, tuple]:
@@ -310,8 +308,4 @@ def _parse_easv_line(line: str) -> tuple[str, tuple]:
 
 def easv_set_from_jsonl(text: str) -> EasvSet:
     """Parse easv_set_to_jsonl output; a fault or a duplicate id names its line."""
-    numbered = parse_lines(text, _parse_easv_line)
-    try:
-        return EasvSet.from_rows(unique_ids(numbered))
-    except RowError as exc:
-        raise line_error(numbered[exc.row][0], exc) from exc
+    return _EASV_LINES.read(text, _parse_easv_line, EasvSet)

@@ -34,10 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import _kernels
+from .geometry import RowError, first_fault
 from .manifest import AudioBuffer, parse_lines
 
 MIN_SAMPLE_RATE = 8000
@@ -107,6 +109,48 @@ class ProsodyStats:
     pitch_mean_hz: float | None
     energy_mean: float
     duration_s: float
+
+
+@dataclass(frozen=True, eq=False)
+class ProsodySet:
+    """Prosody of many utterances, one column per field.
+
+    Row i is utterance ids[i]: its mean pitch pitch_mean_hz[i] in Hz, NaN
+    when nothing is voiced, its mean frame energy energy_mean[i] and its
+    duration duration_s[i] in seconds. The number columns are float arrays;
+    a pitch that is not positive or NaN, a negative energy or a duration
+    that is not positive is a RowError naming its row.
+    """
+
+    ids: Sequence[str]
+    pitch_mean_hz: np.ndarray
+    energy_mean: np.ndarray
+    duration_s: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("pitch_mean_hz", "energy_mean", "duration_s"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        if not (len(self.ids) == len(self.pitch_mean_hz) == len(self.energy_mean)
+                == len(self.duration_s)):
+            raise ValueError("prosody columns must have one entry per utterance")
+        in_range = np.column_stack([~(self.pitch_mean_hz <= 0.0), self.energy_mean >= 0.0,
+                                    self.duration_s > 0.0])
+        if not in_range.all():
+            row, column = first_fault(~in_range)
+            name, rule = (("pitch_mean_hz", "positive"), ("energy_mean", "non-negative"),
+                          ("duration_s", "positive"))[column]
+            raise RowError(f"{name} {float(getattr(self, name)[row])} must be {rule}", row)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @classmethod
+    def from_stats(cls, stats: Mapping[str, ProsodyStats]) -> "ProsodySet":
+        """The set of {id: stats}, in the mapping's order."""
+        return cls(tuple(stats), [math.nan if s.pitch_mean_hz is None else s.pitch_mean_hz
+                                  for s in stats.values()],
+                   [s.energy_mean for s in stats.values()],
+                   [s.duration_s for s in stats.values()])
 
 
 def frame_energy(audio: AudioBuffer, window: int, hop: int) -> np.ndarray:

@@ -158,8 +158,8 @@ def test_svas_checks():
 def test_table_harness_oracle():
     with _criterion("analysis harness: exact counts, means, partition, Rc/AVG"):
         manifest, easvs, prosody, expected = build_synthetic_inputs()
-        from vadsphere import build_report
-        report = build_report(easvs, prosody, manifest)
+        from vadsphere import ProsodySet, build_report
+        report = build_report(easvs, ProsodySet.from_stats(prosody), manifest)
 
         assert set(report.cells) == set(expected)
         for key, ids in expected.items():

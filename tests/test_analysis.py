@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from vadsphere import (
     EasvSet,
+    ProsodySet,
     ProsodyStats,
     StyleOctant,
     UtteranceRecord,
@@ -92,7 +93,7 @@ def test_range_rc_examples():
 
 def test_build_report_counts_and_means_match_oracle():
     manifest, easvs, prosody, expected = build_synthetic_inputs()
-    report = build_report(easvs, prosody, manifest)
+    report = build_report(easvs, ProsodySet.from_stats(prosody), manifest)
     assert set(report.cells) == set(expected)
     for key, ids in expected.items():
         cell = report.cells[key]
@@ -108,14 +109,14 @@ def test_build_report_counts_and_means_match_oracle():
 
 def test_build_report_partition_property():
     manifest, easvs, prosody, _ = build_synthetic_inputs()
-    report = build_report(easvs, prosody, manifest)
+    report = build_report(easvs, ProsodySet.from_stats(prosody), manifest)
     non_neutral = sum(1 for e in easvs.emotions if e != "neutral")
     assert sum(c.count for c in report.cells.values()) == non_neutral
 
 
 def test_build_report_rc_and_avg_consistency():
     manifest, easvs, prosody, _ = build_synthetic_inputs()
-    report = build_report(easvs, prosody, manifest)
+    report = build_report(easvs, ProsodySet.from_stats(prosody), manifest)
     feature_of = {"pitch": "pitch_mean", "energy": "energy_mean",
                   "duration": "duration_mean"}
     for (emotion, octant, feature), rc_value in report.rc.items():
@@ -133,7 +134,7 @@ def test_build_report_rc_and_avg_consistency():
 
 def test_build_report_single_region_omits_rc():
     manifest, easvs, prosody, _ = build_synthetic_inputs()
-    report = build_report(easvs, prosody, manifest)
+    report = build_report(easvs, ProsodySet.from_stats(prosody), manifest)
     for feature in ("pitch", "energy", "duration"):
         assert ("angry", "V", feature) not in report.rc
         assert ("angry", "I", feature) in report.rc
@@ -141,7 +142,7 @@ def test_build_report_single_region_omits_rc():
 
 def test_build_report_neutral_summary():
     manifest, easvs, prosody, _ = build_synthetic_inputs()
-    report = build_report(easvs, prosody, manifest)
+    report = build_report(easvs, ProsodySet.from_stats(prosody), manifest)
     assert report.neutral.count == 4
     assert report.neutral.pitch_mean == pytest.approx(51.5)
     assert report.neutral.energy_mean == pytest.approx(2.0)
@@ -152,7 +153,7 @@ def test_build_report_unresolvable_id():
     rows = _rows(easvs)
     rows["ghost"] = ("angry", 0.5, 1.0, 1.0)
     with pytest.raises(ValueError, match="'ghost' not found"):
-        build_report(EasvSet.from_rows(rows), prosody, manifest)
+        build_report(EasvSet.from_rows(rows), ProsodySet.from_stats(prosody), manifest)
 
 
 def test_build_report_missing_prosody_names_id():
@@ -160,7 +161,7 @@ def test_build_report_missing_prosody_names_id():
     victim = next(i for i, e in zip(easvs.ids, easvs.emotions) if e != "neutral")
     del prosody[victim]
     with pytest.raises(ValueError, match=victim):
-        build_report(easvs, prosody, manifest)
+        build_report(easvs, ProsodySet.from_stats(prosody), manifest)
 
 
 def test_build_report_emotion_mismatch():
@@ -169,12 +170,12 @@ def test_build_report_emotion_mismatch():
     victim = next(i for i, row in rows.items() if row[0] == "angry")
     rows[victim] = ("happy", 0.5, 1.0, 1.0)
     with pytest.raises(ValueError, match="emotion mismatch"):
-        build_report(EasvSet.from_rows(rows), prosody, manifest)
+        build_report(EasvSet.from_rows(rows), ProsodySet.from_stats(prosody), manifest)
 
 
 def test_render_markdown_deterministic():
     manifest, easvs, prosody, _ = build_synthetic_inputs()
-    report = build_report(easvs, prosody, manifest)
+    report = build_report(easvs, ProsodySet.from_stats(prosody), manifest)
     first = render_report(report, "markdown")
     second = render_report(report, "markdown")
     assert first == second
@@ -197,7 +198,7 @@ def test_render_markdown_thousands_separators():
 
 def test_render_markdown_empty_report_is_header_only():
     manifest = manifest_of(())
-    report = build_report(EasvSet.from_rows({}), {}, manifest)
+    report = build_report(EasvSet.from_rows({}), ProsodySet.from_stats({}), manifest)
     text = render_report(report, "markdown")
     table_lines = [ln for ln in text.splitlines() if ln.startswith("|")]
     assert len(table_lines) == 2  # header and separator only
@@ -209,7 +210,7 @@ def test_render_csv_single_cell():
     theta, phi = _octant_angles("I")
     easvs = EasvSet.from_rows({"u1": ("angry", 0.5, theta, phi)})
     prosody = {"u1": ProsodyStats(70.0, 5.0, 3.0)}
-    report = build_report(easvs, prosody, manifest)
+    report = build_report(easvs, ProsodySet.from_stats(prosody), manifest)
     text = render_report(report, "csv")
     lines = text.splitlines()
     assert lines[0] == "emotion,octant,region,count,pitch_mean,energy_mean,duration_mean"
@@ -223,21 +224,21 @@ def test_render_csv_empty_fields_for_absent_means():
     theta, phi = _octant_angles("I")
     easvs = EasvSet.from_rows({"u1": ("angry", 0.5, theta, phi)})
     prosody = {"u1": ProsodyStats(None, 5.0, 3.0)}  # unvoiced utterance
-    report = build_report(easvs, prosody, manifest)
+    report = build_report(easvs, ProsodySet.from_stats(prosody), manifest)
     lines = render_report(report, "csv").splitlines()
     assert lines[1] == "angry,I,R2,1,,5.0,3.0"
 
 
 def test_render_unknown_format():
     manifest = manifest_of(())
-    report = build_report(EasvSet.from_rows({}), {}, manifest)
+    report = build_report(EasvSet.from_rows({}), ProsodySet.from_stats({}), manifest)
     with pytest.raises(ValueError, match="unknown report format"):
         render_report(report, "html")
 
 
 def test_report_emotion_order_follows_manifest():
     manifest, easvs, prosody, _ = build_synthetic_inputs()
-    report = build_report(easvs, prosody, manifest)
+    report = build_report(easvs, ProsodySet.from_stats(prosody), manifest)
     assert report.emotion_order == ("angry", "happy")
     text = render_report(report, "csv")
     first_angry = text.index("angry,")
@@ -301,7 +302,7 @@ def test_build_report_matches_python_reference(records, data):
         if has_prosody or emotion != "neutral":  # prosody is optional for neutral
             prosody[rec_id] = ProsodyStats(pitch, energy, duration)
 
-    report = build_report(EasvSet.from_rows(rows), prosody, manifest)
+    report = build_report(EasvSet.from_rows(rows), ProsodySet.from_stats(prosody), manifest)
     cells, rc, avg = _report_reference(rows, prosody)
 
     # counts partition the non-neutral records
@@ -339,7 +340,8 @@ def test_build_report_sums_each_cell_in_record_order():
     easvs = EasvSet.from_rows({i: ("angry", 0.5, theta, phi) for i in order})
     prosody = {i: ProsodyStats(p, p / 7.0, p / 3.0)
                for i, p in zip(ids, rng.uniform(50.0, 400.0, len(ids)).tolist())}
-    cell = build_report(easvs, prosody, manifest).cells[("angry", "I", "R2")]
+    report = build_report(easvs, ProsodySet.from_stats(prosody), manifest)
+    cell = report.cells[("angry", "I", "R2")]
     for feature, field in zip(FEATURES, ("pitch_mean_hz", "energy_mean", "duration_s")):
         total = 0.0
         for rec_id in order:
@@ -357,6 +359,7 @@ def test_build_report_avg_adds_region_sums_left_to_right():
     easvs = EasvSet.from_rows({region: ("angry", REGION_R_IQR[region], theta, phi)
                                for region in pitch})
     prosody = {region: ProsodyStats(hz, 1.0, 1.0) for region, hz in pitch.items()}
-    avg = build_report(easvs, prosody, manifest).avg[("angry", "I", "pitch")]
+    report = build_report(easvs, ProsodySet.from_stats(prosody), manifest)
+    avg = report.avg[("angry", "I", "pitch")]
     assert avg == ((0.0 + 100.1) + 200.3 + 300.7) / 3
     assert avg != math.fsum(pitch.values()) / 3

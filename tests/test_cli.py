@@ -185,6 +185,30 @@ def test_analyze_field_types_name_file_and_line(tmp_path, manifest_file, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("faults, message", [
+    ({1: {"energy_mean": -1.0, "duration_s": -3.0}},
+     "line 1: energy_mean -1.0 must be non-negative"),
+    ({1: {"duration_s": -3.0}}, "line 1: duration_s -3.0 must be positive"),
+    ({3: {"duration_s": 0}}, "line 3: duration_s 0.0 must be positive"),
+    ({2: {"pitch_mean_hz": -5.0}, 3: {"energy_mean": -0.5}},
+     "line 2: pitch_mean_hz -5.0 must be positive"),
+    ({3: {"pitch_mean_hz": 0.0}, 2: {"energy_mean": -1e-300}},
+     "line 2: energy_mean -1e-300 must be non-negative"),
+], ids=["energy-and-duration", "duration", "zero-duration", "pitch", "first-line-named"])
+def test_analyze_prosody_out_of_range_names_file_and_line(chain, tmp_path, capsys, faults,
+                                                          message):
+    rows = [json.loads(line) for line in chain["prosody"].read_text().splitlines()]
+    for line_no, values in faults.items():
+        rows[line_no - 1].update(values)
+    prosody, out = tmp_path / "prosody.jsonl", tmp_path / "report.md"
+    prosody.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    capsys.readouterr()
+    assert run(["analyze", "--easv", str(chain["easv"]), "--prosody", str(prosody),
+                "--manifest", str(chain["manifest"]), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {prosody}: {message}\n"
+    assert not out.exists()
+
+
 def test_extract_bad_model_names_file_and_key(tmp_path, manifest_file, capsys):
     model = tmp_path / "model.json"
     assert run(["fit", "--manifest", str(manifest_file), "--out", str(model)]) == 0

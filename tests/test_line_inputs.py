@@ -9,31 +9,35 @@ label or a path), so for them only the blank-line half is checked.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vadsphere import cli, manifest, parse_manifest
+from vadsphere import cli, manifest, parse_manifest, pipeline
 from vadsphere.cli import (
     _parse_pair,
-    _parse_prosody_line,
     _parse_vad_points,
     _parse_vectors,
+    _prosody_set_from_jsonl,
+    _prosody_set_to_jsonl,
     _stripped_lines,
     run,
 )
-from vadsphere.manifest import parse_lines, unique_ids
-from vadsphere.pipeline import easv_set_from_jsonl
-from vadsphere.prosody import track_from_text
+from vadsphere.manifest import JsonLines, parse_lines
+from vadsphere.pipeline import EasvSet, easv_set_from_jsonl, easv_set_to_jsonl
+from vadsphere.prosody import ProsodySet, track_from_text
 
 _unit = st.floats(min_value=0.0, max_value=1.0)
 _finite = st.floats(min_value=-1e6, max_value=1e6)
@@ -56,9 +60,12 @@ def _easv_line(draw, k: int) -> str:
                        "phi": draw(st.floats(-3.14, 3.14))})
 
 
+_positive = st.floats(min_value=0.0, max_value=1e6, exclude_min=True)
+
+
 def _prosody_line(draw, k: int) -> str:
-    return json.dumps({"id": f"u{k}", "pitch_mean_hz": draw(st.none() | _finite),
-                       "energy_mean": draw(_finite), "duration_s": draw(_finite)})
+    return json.dumps({"id": f"u{k}", "pitch_mean_hz": draw(st.none() | _positive),
+                       "energy_mean": draw(st.floats(0.0, 1e6)), "duration_s": draw(_positive)})
 
 
 def _pair_line(draw, k: int) -> str:
@@ -89,7 +96,12 @@ def _vectors_value(text):
 
 def _easv_value(text):
     e = easv_set_from_jsonl(text)
-    return e.ids, e.emotions, e.r_iqr.tolist(), e.theta.tolist(), e.phi.tolist()
+    return e.ids, e.emotions, e.r_iqr.tobytes(), e.theta.tobytes(), e.phi.tobytes()
+
+
+def _prosody_value(text):
+    p = _prosody_set_from_jsonl(text)
+    return p.ids, p.pitch_mean_hz.tobytes(), p.energy_mean.tobytes(), p.duration_s.tobytes()
 
 
 def _track_value(text):
@@ -116,9 +128,12 @@ FORMATS = (
            lambda path, c: ["analyze", "--easv", path, "--prosody", c["prosody"],
                             "--manifest", c["manifest"]]),
     Format("prosody", lambda draw, dim: _numbered(draw, _prosody_line),
-           lambda dim: ("[", '{"id": "x"}', '{"id": "x", "pitch_mean_hz": null, '
-                                            '"energy_mean": NaN, "duration_s": 1}'),
-           lambda text: unique_ids(parse_lines(text, _parse_prosody_line)),
+           lambda dim: ("[", '{"id": "x"}', *(
+               '{"id": "x", "pitch_mean_hz": %s, "energy_mean": %s, "duration_s": %s}' % values
+               for values in (("null", "NaN", "1"), ("-5.0", "0.1", "1.0"), ("0.0", "0.1", "1.0"),
+                              ("null", "-1.0", "1.0"), ("100.0", "0.1", "0.0"),
+                              ("null", "0.1", "-3")))),
+           _prosody_value,
            lambda path, c: ["analyze", "--easv", c["easv"], "--prosody", path,
                             "--manifest", c["manifest"]]),
     Format("vector", _vectors,
@@ -202,10 +217,10 @@ def test_blank_lines_and_line_numbers(fmt, data, companions, tmp_path_factory):
 
 # --- columns-first decoders against the per-line path ------------------------
 #
-# Vector files and manifests are decoded whole into columns; only input the
-# decoder does not take goes through the per-line parser. The tests below turn
-# the decoders off to get the per-line result, and require the same values,
-# line numbers, diagnostics and CLI output either way.
+# Vector files, manifests, EASV and prosody files are decoded whole into
+# columns; only input the decoder does not take goes through the per-line
+# parser. The tests below turn the decoders off to get the per-line result, and
+# require the same values, line numbers, diagnostics and CLI output either way.
 
 _UNICODE_SPACE = ["\t", "\x0b", "\x1f", "\xa0", "\u2000", "\u3000"]
 _LINE_BREAK = ["\n", "\r\n", "\r", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"]
@@ -217,7 +232,8 @@ _ODD_NUMBER = ["1_0", "\u0661", "\u0663.5", "\uff11", "nan", "-inf", "Infinity",
 def _per_line_only():
     """Turn the columns-first decoders off: every input takes the per-line path."""
     with mock.patch.object(cli, "_decode_vectors", lambda text: None), \
-            mock.patch.object(manifest, "_decode_manifest", lambda text: None):
+            mock.patch.object(manifest, "_decode_manifest", lambda text: None), \
+            mock.patch.object(JsonLines, "_decode", lambda self, text: None):
         yield
 
 
@@ -387,6 +403,170 @@ def test_manifest_decoder_matches_per_line_path_on_each_fault(key, value, tmp_pa
     _assert_manifest_same_both_ways(text, tmp_path / "manifest.jsonl", companions)
 
 
+# --- EASV and prosody files: the tool's own lines by column ------------------
+#
+# The column decoder takes only the exact lines the writer emits. Any other
+# line form (keys reordered, other separators, escapes, integer literals, CRLF,
+# a raw U+2028 in an id), every fault and every duplicate id is left to the
+# per-line parser, so values, order and diagnostics are the same either way.
+
+# (low, high) of each number field's valid values; an id and a label are text
+_EASV_FIELDS = {"id": None, "emotion": None, "r_iqr": (0.0, 1.0), "theta": (0.0, 3.14),
+                "phi": (-3.14, 3.14)}
+_PROSODY_FIELDS = {"id": None, "pitch_mean_hz": (50.0, 400.0), "energy_mean": (0.0, 1.0),
+                   "duration_s": (0.1, 10.0)}
+# number texts: integers (json.loads reads -0 as the int 0, so +0.0, where
+# float("-0") is -0.0), a leading zero, beyond the float range, a 401-digit
+# integer, non-finite literals, other types, out of every field's range; and
+# forms the decoder does take
+_ODD_NUMBERS = ["0", "-0", "12", "00.5", "1e400", "-1e400", str(_BIG), "NaN", "Infinity",
+                "-Infinity", "true", '"1.5"', "null", "-5.0", "0.0", "-0.0", "1E2", "2.5e-3",
+                "7.0"]
+_IDS = ["u", "\u00e9", 'q"', "a\\b", "x y", "\u2028", "\x7f", "\x01"]
+
+
+@st.composite
+def _json_lines_texts(draw, fields: dict):
+    """Lines as the writer emits them, then up to two changes: another valid
+    form of a line (keys reordered, other separators, an id with other
+    characters or escapes), an odd number, a repeated id, a missing key or no
+    JSON object; blank lines and line breaks vary."""
+    records = []
+    for k in range(draw(st.integers(0, 5))):
+        record = {"id": f'"u{k}"'}
+        for key, bounds in list(fields.items())[1:]:
+            record[key] = (json.dumps(draw(st.sampled_from(["neutral", "happy"])))
+                           if bounds is None else repr(draw(st.floats(*bounds))))
+        if "pitch_mean_hz" in record and draw(st.booleans()):
+            record["pitch_mean_hz"] = "null"
+        records.append(record)
+    forms = [(", ", ": ", False)] * len(records)  # (item separator, colon, keys reversed)
+    lines = [None] * len(records)
+    for _ in range(draw(st.integers(0, 2)) if records else 0):
+        at = draw(st.integers(0, len(records) - 1))
+        change = draw(st.sampled_from(["number"] * 3 + ["id"] * 2 + [
+            "repeat", "reordered", "compact", "spaced", "missing", "no object"]))
+        record = records[at]
+        if change == "number":
+            record[draw(st.sampled_from(list(record)[2 if "emotion" in record else 1:]))] = (
+                draw(st.sampled_from(_ODD_NUMBERS)))
+        elif change == "id":
+            rec_id = draw(st.sampled_from(_IDS)) + str(at)
+            escape = draw(st.sampled_from(["ascii", "unicode", "none"]))  # a raw \x01 is no JSON
+            record["id"] = (f'"{rec_id}"' if escape == "none"
+                            else json.dumps(rec_id, ensure_ascii=escape == "ascii"))
+        elif change == "repeat":  # an earlier change may have deleted the id it repeats
+            record["id"] = records[at - 1].get("id", '"u0"')
+        elif change == "missing":
+            del record[draw(st.sampled_from(list(record)))]
+        elif change == "no object":
+            lines[at] = draw(st.sampled_from(["{", "[1]", "not json"]))
+        else:
+            forms[at] = {"reordered": (", ", ": ", True), "compact": (",", ":", False),
+                         "spaced": (" ,  ", " :", False)}[change]
+    for at, (record, (item, colon, reverse)) in enumerate(zip(records, forms)):
+        pairs = list(record.items())[::-1 if reverse else 1]
+        if lines[at] is None:
+            lines[at] = "{" + item.join(f'"{key}"{colon}{text}' for key, text in pairs) + "}"
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\t"])))
+    breaks = st.sampled_from(["\n"] * 20 + ["\r\n", "\r", "\u2028"])
+    text = "".join(line + draw(breaks) for line in lines)
+    return text[:-1] if text and draw(st.booleans()) else text
+
+
+def _columns(value) -> list:
+    """An EasvSet's or ProsodySet's columns: text as tuples, numbers as bytes."""
+    columns = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    return [c.tobytes() if isinstance(c, np.ndarray) else tuple(c) for c in columns]
+
+
+def _assert_json_lines_same_both_ways(read, text: str, argv: list[str], path: Path) -> None:
+    """The columns read, or the diagnostic, and the CLI's output equal the per-line path's."""
+    fast, slow = _both_ways(read, text)
+    if isinstance(fast, str) or isinstance(slow, str):
+        assert fast == slow
+    else:
+        assert _columns(fast) == _columns(slow)
+    path.write_bytes(text.encode("utf-8"))
+    fast, slow = _cli_both_ways(argv)
+    assert fast == slow
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_json_lines_texts(_EASV_FIELDS))
+def test_easv_decoder_matches_per_line_path(text, input_path, companions):
+    _assert_json_lines_same_both_ways(
+        easv_set_from_jsonl, text, ["analyze", "--easv", str(input_path), "--prosody",
+                                    companions["prosody"], "--manifest", companions["manifest"]],
+        input_path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_json_lines_texts(_PROSODY_FIELDS))
+def test_prosody_decoder_matches_per_line_path(text, input_path, companions):
+    _assert_json_lines_same_both_ways(
+        _prosody_set_from_jsonl, text, ["analyze", "--easv", companions["easv"], "--prosody",
+                                        str(input_path), "--manifest", companions["manifest"]],
+        input_path)
+
+
+_TWO_LINES = {"easv": '{"id": "u0", "emotion": "happy", "r_iqr": 0.5, "theta": 1.0, "phi": 0.5}',
+              "prosody": '{"id": "u0", "pitch_mean_hz": 100.0, "energy_mean": 0.1, '
+                         '"duration_s": 1.0}'}
+# (format, key, value text): each takes the place of one value of a second line
+_ODD_VALUES = [
+    *((fmt, "id", text) for fmt in _TWO_LINES for rec_id in _IDS
+      for text in (json.dumps(rec_id), json.dumps(rec_id, ensure_ascii=False), f'"{rec_id}"')),
+    *((fmt, key, number) for fmt, fields in (("easv", _EASV_FIELDS), ("prosody", _PROSODY_FIELDS))
+      for key, bounds in fields.items() if bounds is not None for number in _ODD_NUMBERS),
+]
+
+
+@pytest.mark.parametrize("fmt, key, text", _ODD_VALUES)
+def test_json_lines_decoders_match_per_line_path_on_each_value(fmt, key, text):
+    first = _TWO_LINES[fmt]
+    second = json.dumps({**json.loads(first), "id": "u1", key: None}).replace("null", text)
+    fast, slow = _both_ways(easv_set_from_jsonl if fmt == "easv" else _prosody_set_from_jsonl,
+                            f"{first}\n{second}\n")
+    if isinstance(fast, str) or isinstance(slow, str):
+        assert fast == slow
+    else:
+        assert _columns(fast) == _columns(slow)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(st.text(max_size=4), _unit, st.floats(0.0, 3.14),
+                               st.floats(-3.14, 3.14), st.none() | _positive,
+                               st.floats(0.0, 1e6), _positive), max_size=6))
+def test_writers_emit_json_dumps_lines(rows):
+    """Each line is json.dumps of the record, byte for byte, and reads back."""
+    ids = [f"{text}{k}" for k, (text, *_) in enumerate(rows)]
+    easvs = EasvSet(ids, ["happy"] * len(rows), *(np.array([r[i] for r in rows], dtype=float)
+                                                  for i in (1, 2, 3)))
+    text = easv_set_to_jsonl(easvs)
+    assert text == "".join(json.dumps({"id": i, "emotion": "happy", "r_iqr": r[1],
+                                       "theta": r[2], "phi": r[3]}) + "\n"
+                           for i, r in zip(ids, rows))
+    assert _columns(easv_set_from_jsonl(text)) == _columns(easvs)
+    prosody = ProsodySet(ids, [math.nan if r[4] is None else r[4] for r in rows],
+                         [r[5] for r in rows], [r[6] for r in rows])
+    text = _prosody_set_to_jsonl(prosody)
+    assert text == "".join(json.dumps({"id": i, "pitch_mean_hz": r[4], "energy_mean": r[5],
+                                       "duration_s": r[6]}) + "\n"
+                           for i, r in zip(ids, rows))
+    assert _columns(_prosody_set_from_jsonl(text)) == _columns(prosody)
+
+
+def test_json_lines_writer_refuses_non_finite_numbers():
+    lines = JsonLines(("id", str), ("pitch", None), ("energy", float))
+    assert lines.write(["a"], [math.nan], [0.5]) == '{"id": "a", "pitch": null, "energy": 0.5}\n'
+    for pitch, energy, message in ((math.inf, 0.5, "pitch inf"), (1.0, math.nan, "energy nan"),
+                                   (1.0, -math.inf, "energy -inf")):
+        with pytest.raises(ValueError, match=f"^{message} is not finite$"):
+            lines.write(["a"], [pitch], [energy])
+
+
 def _load_workloads():
     """perfbench/workloads.py, the generator of the benchmark's inputs."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -402,15 +582,32 @@ def _load_workloads():
 
 @pytest.mark.parametrize("workload", ["vad-corpus", "many-emotions", "audio-prosody"])
 def test_benchmark_inputs_take_no_per_line_pass(workload, tmp_path, monkeypatch):
-    """The benchmark's manifests and vector files decode by column: were they
-    to fall back to the per-line parsers, their speed-up would be lost unseen."""
+    """The benchmark's manifests, vector files, and the EASV and prosody files
+    `analyze` reads decode by column: were they to fall back to the per-line
+    parsers, their speed-up would be lost unseen."""
     workloads = _load_workloads()
     inputs = workloads.generate(workloads.WORKLOADS[workload].scaled(0.002), 1, tmp_path)
 
     def no_per_line_pass(line):
         raise AssertionError("per-line parser called")
-    monkeypatch.setattr(cli, "_parse_vector", no_per_line_pass)
-    monkeypatch.setattr(manifest, "_parse_record", no_per_line_pass)
+    for module, name in ((cli, "_parse_vector"), (manifest, "_parse_record"),
+                         (pipeline, "_parse_easv_line"), (cli, "_parse_prosody_line")):
+        monkeypatch.setattr(module, name, no_per_line_pass)
+    m, easv, prosody = str(inputs.manifest), tmp_path / "easv.jsonl", tmp_path / "prosody.jsonl"
+    assert run(["fit", "--manifest", m, "--out", str(tmp_path / "model.json")]) == 0
+    assert run(["extract", "--manifest", m, "--model", str(tmp_path / "model.json"),
+                "--out", str(easv)]) == 0
+    if inputs.prosody_for_analyze is None:  # analyze reads what `prosody` writes
+        assert inputs.wav_list is None
+        assert run(["prosody", "--manifest", m, "--out", str(prosody)]) == 0
+    else:
+        prosody = inputs.prosody_for_analyze
+    easvs = easv_set_from_jsonl(easv.read_text(encoding="utf-8"))
+    assert len(easvs) == inputs.n_records
+    assert sorted(_prosody_set_from_jsonl(prosody.read_text(encoding="utf-8")).ids) == sorted(
+        easvs.ids)
+    assert run(["analyze", "--easv", str(easv), "--prosody", str(prosody), "--manifest", m,
+                "--out", str(tmp_path / "report.md")]) == 0
     assert len(parse_manifest(inputs.manifest)) == inputs.n_records
     for path in (inputs.emb_a, inputs.emb_b, inputs.speaker_emb, inputs.emotion_emb):
         _, arr = _parse_vectors(path.read_text(encoding="utf-8"))
