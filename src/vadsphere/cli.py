@@ -37,11 +37,7 @@ import numpy as np
 from .analysis import build_report, render_report
 from .geometry import Centroid, RowError, StyleOctant, check_in_cube, neutral_center
 from .manifest import (
-    JsonLines,
-    json_object,
-    label_field,
     line_error,
-    number_field,
     numbered_lines,
     parse_lines,
     parse_manifest,
@@ -65,6 +61,8 @@ from .prosody import (
     ProsodyStats,
     align_tracks,
     f1_vuv,
+    prosody_set_from_jsonl,
+    prosody_set_to_jsonl,
     rmse_f0,
     rmse_period,
     track_from_text,
@@ -132,17 +130,24 @@ def _parse_file(path: str, parse, *args):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _nonblank(text: str, parse_line, what: str) -> list[tuple[int, object]]:
+def _nonblank(text: str, parse_line, what: str) -> tuple[list[int], list]:
     """parse_lines(text, parse_line), which must find at least one line."""
     numbered = parse_lines(text, parse_line)
-    if not numbered:
+    if not numbered[0]:
         raise ValueError(f"no {what} found")
     return numbered
 
 
 def _stripped_lines(text: str, what: str) -> list[str]:
     """The non-blank lines, stripped: a label file."""
-    return [line for _, line in _nonblank(text, str.strip, what)]
+    return _nonblank(text, str.strip, what)[1]
+
+
+def _wav_paths(text: str) -> list[str]:
+    """A wav list's paths, sorted; a path is its id, so it is listed once."""
+    line_nos, paths = _nonblank(text, str.strip, "wav paths")
+    unique_ids(line_nos, paths)
+    return sorted(paths)
 
 
 def _parse_vector(line: str) -> np.ndarray:
@@ -166,9 +171,9 @@ def _decode_vectors(text: str) -> tuple[list[int], np.ndarray] | None:
     return (line_nos, arr) if len(arr) == len(line_nos) else None
 
 
-def _vectors_by_line(text: str) -> tuple[tuple[int, ...], np.ndarray]:
+def _vectors_by_line(text: str) -> tuple[list[int], np.ndarray]:
     """The line numbers and array of `text`, read by _parse_vector line by line."""
-    line_nos, rows = zip(*_nonblank(text, _parse_vector, "vectors"))
+    line_nos, rows = _nonblank(text, _parse_vector, "vectors")
     odd = next((n for n, row in zip(line_nos, rows) if len(row) != len(rows[0])), None)
     if odd is not None:
         raise line_error(odd, "inconsistent vector dimensions")
@@ -316,16 +321,6 @@ def _cmd_metrics(args) -> str:
     return _tsv(results)
 
 
-# the prosody file: one utterance per line, pitch null when nothing is voiced
-_PROSODY_LINES = JsonLines(("id", str), ("pitch_mean_hz", None), ("energy_mean", float),
-                           ("duration_s", float))
-
-
-def _prosody_set_to_jsonl(prosody: ProsodySet) -> str:
-    return _PROSODY_LINES.write(prosody.ids, prosody.pitch_mean_hz, prosody.energy_mean,
-                                prosody.duration_s)
-
-
 def _cmd_prosody(args) -> str:
     cfg = _f0_config(args)
     if args.jobs < 1:
@@ -338,9 +333,7 @@ def _cmd_prosody(args) -> str:
             if path is None:
                 raise ValueError(f"record '{rec_id}' has no audio_path")
     else:
-        paths = _parse_file(args.wav_list, lambda text: unique_ids(  # a path is its id
-            _nonblank(text, lambda line: (line.strip(), None), "wav paths")))
-        jobs_input = sorted((p, p) for p in paths)
+        jobs_input = [(p, p) for p in _parse_file(args.wav_list, _wav_paths)]
 
     def work(item: tuple[str, str]) -> tuple[str, ProsodyStats]:
         rec_id, path = item
@@ -351,27 +344,13 @@ def _cmd_prosody(args) -> str:
 
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         computed = list(pool.map(work, jobs_input))
-    return _prosody_set_to_jsonl(ProsodySet.from_stats(dict(computed)))
-
-
-def _parse_prosody_line(line: str) -> tuple[str, tuple]:
-    obj = json_object(line, "prosody record")
-    rec_id = label_field(obj, "id")  # text, as manifest and EASV ids are
-    pitch = obj["pitch_mean_hz"]
-    return rec_id, (math.nan if pitch is None else number_field(obj, "pitch_mean_hz"),
-                    number_field(obj, "energy_mean"), number_field(obj, "duration_s"))
-
-
-def _prosody_set_from_jsonl(text: str) -> ProsodySet:
-    """Parse _prosody_set_to_jsonl output; a fault, a value out of range or a
-    duplicate id names its line."""
-    return _PROSODY_LINES.read(text, _parse_prosody_line, ProsodySet)
+    return prosody_set_to_jsonl(ProsodySet.from_stats(dict(computed)))
 
 
 def _cmd_analyze(args) -> str:
     manifest = _parse_file(args.manifest, parse_manifest, args.neutral_label)
     easvs = _parse_file(args.easv, easv_set_from_jsonl)
-    prosody = _parse_file(args.prosody, _prosody_set_from_jsonl)
+    prosody = _parse_file(args.prosody, prosody_set_from_jsonl)
     report = build_report(easvs, prosody, manifest)
     return render_report(report, args.format)
 
@@ -393,7 +372,7 @@ def _parse_pair(line: str) -> tuple[float, float, bool]:
 
 
 def _cmd_pair_acc(args) -> str:
-    pairs = [pair for _, pair in _parse_file(args.pairs, _nonblank, _parse_pair, "pairs")]
+    pairs = _parse_file(args.pairs, _nonblank, _parse_pair, "pairs")[1]
     return _tsv([("pair_order_accuracy", pair_order_accuracy(pairs))])
 
 

@@ -6,19 +6,20 @@ takes them from ``numbered_lines``: blank and whitespace-only lines are
 skipped, and lines are numbered from 1. In ``parse_lines`` a fault in one
 line is a ValueError reading ``line N: <message>``, or ``line N: missing
 key 'k'`` for a KeyError.
-``unique_ids`` rejects an id seen twice, naming both lines.
 
-Decode by column, diagnose by line: a manifest is first decoded whole into
-columns by ``_decode_manifest``, which accepts only a strict subset of valid
-manifests (string labels, ``vad`` a list of three JSON numbers in the unit
-cube, unique ids) and gives the same columns on it. Any other input, and
-every fault, goes through the per-line parser, so the accepted syntax, the
-values read and every diagnostic are those of ``_parse_record``. The files
-the tool writes itself, EASV (``pipeline.easv_set_from_jsonl``) and prosody
-(``cli._prosody_set_from_jsonl``), follow the same rule through
-``JsonLines``: one pattern, built from the same fields as the writer's
-template, takes every line of the tool's own output into columns, and any
-other text goes through the format's per-line parser.
+Read once, check once: a manifest is first decoded whole into columns by
+``_decode_manifest``, which accepts only a strict subset of valid manifests
+(non-empty string ids, string labels, ``vad`` three finite JSON numbers) and
+gives the same columns on it; any other text goes through ``_parse_record``,
+the per-line parser, which defines the accepted syntax and names every
+unreadable line. Either path gives (line numbers, columns), on which the
+rules over rows run once: a VAD component outside [0, 1], then a duplicate
+id (``unique_ids``), each naming its line. The EASV and prosody files the
+tool writes (``pipeline.easv_set_from_jsonl``,
+``prosody.prosody_set_from_jsonl``) follow the same rule through
+``JsonLines``, one declaration of a format's fields from which its writer's
+template, its column pattern and its per-line parser are all built; after
+either path, a duplicate id and then a value out of range name their line.
 
 Every JSON input (manifest, EASV and prosody lines, model files) is decoded
 by ``json_object`` and read through ``label_field``, ``number_field`` and
@@ -189,20 +190,21 @@ def numbered_lines(text: str) -> tuple[list[int], list[str]]:
     return list(compress(count(1), stripped)), list(compress(lines, stripped))
 
 
-def parse_lines(text: str, parse_line) -> list[tuple[int, object]]:
-    """(line number, parse_line(line)) for each of the numbered_lines of text;
-    a ValueError from parse_line is raised again as `line N: <message>`, and a
-    KeyError as `line N: missing key 'k'`."""
-    numbered = []
+def parse_lines(text: str, parse_line) -> tuple[list[int], list]:
+    """The numbered_lines of text, each read by parse_line: (numbers, values).
+    A ValueError from parse_line is raised again as `line N: <message>`, and
+    a KeyError as `line N: missing key 'k'`."""
+    line_nos, lines = numbered_lines(text)
+    values = []
     with _collector_paused():
-        for line_no, line in zip(*numbered_lines(text)):
+        for line_no, line in zip(line_nos, lines):
             try:
-                numbered.append((line_no, parse_line(line)))
+                values.append(parse_line(line))
             except ValueError as exc:
                 raise line_error(line_no, exc) from exc
             except KeyError as exc:
                 raise line_error(line_no, f"missing key {exc}") from exc
-    return numbered
+    return line_nos, values
 
 
 def line_error(line_no: int, message) -> ValueError:
@@ -210,15 +212,19 @@ def line_error(line_no: int, message) -> ValueError:
     return ValueError(f"line {line_no}: {message}")
 
 
-def unique_ids(numbered: list[tuple[int, tuple]]) -> dict:
-    """{id: value} from parse_lines output of (id, value) pairs; ids must be unique."""
-    out = {}
-    for line_no, (key, value) in numbered:
-        if key in out:
-            first = next(n for n, (k, _) in numbered if k == key)
-            raise line_error(line_no, f"duplicate id '{key}' (first seen at line {first})")
-        out[key] = value
-    return out
+def unique_ids(line_nos, ids) -> None:
+    """Raise a ValueError naming the first line whose id an earlier line has."""
+    first_seen = dict(zip(reversed(ids), reversed(line_nos)))
+    if len(first_seen) < len(ids):
+        line_no, key = next((n, k) for n, k in zip(line_nos, ids) if first_seen[k] != n)
+        raise line_error(line_no, f"duplicate id '{key}' (first seen at line {first_seen[key]})")
+
+
+def columns_by_line(text: str, parse_line, width: int) -> tuple[list[int], list]:
+    """parse_lines(text, parse_line), each line read into a row of `width`
+    values, as (line numbers, columns)."""
+    line_nos, rows = parse_lines(text, parse_line)
+    return line_nos, list(zip(*rows)) if rows else [()] * width
 
 
 def json_object(text: str, what: str) -> dict:
@@ -284,20 +290,27 @@ _NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
 _VALUE_PATTERNS = {str: r'"([ !#-\[\]-~]*)"', float: f"({_NUMBER})", None: f"(null|{_NUMBER})"}
 
 
+# Each field kind's reader of one value of a decoded line
+_FIELD_READERS = {str: label_field, float: number_field,
+                  None: lambda obj, key: math.nan if obj[key] is None else number_field(obj, key)}
+
+
 class JsonLines:
     """A JSON-lines file the tool writes: one object per line, with the keys
     of `fields` in their order, as json.dumps writes it with its default
     separators. A field is (key, kind): str for text, float for a finite
-    number, and None for a finite number or null, held as NaN.
+    number, and None for a finite number or null, held as NaN. `what` names
+    a line in a `malformed <what>` fault.
 
     `write` makes that text from columns, by one template built from the
     fields. `read` takes it back into columns by one pattern built from the
     same fields, when every non-blank line is in the exact form `write`
-    gives; any other text goes through the format's per-line parser, which
-    defines the accepted syntax and names every fault.
+    gives; any other text goes through `_parse_line`, built from the same
+    fields too, which defines the accepted syntax and names every fault.
     """
 
-    def __init__(self, *fields: tuple[str, type | None]) -> None:
+    def __init__(self, what: str, *fields: tuple[str, type | None]) -> None:
+        self.what = what
         self.keys = tuple(key for key, _ in fields)
         self.kinds = tuple(kind for _, kind in fields)
         self._names = [json.dumps(key) for key in self.keys]
@@ -331,36 +344,36 @@ class JsonLines:
                          else ("null" if v != v else repr(v) for v in values))
         return "".join(map(self._template.format, *texts))
 
-    def read(self, text: str, parse_line: Callable, make: Callable):
+    def read(self, text: str, make: Callable):
         """make(*columns) of `text`, one column per field, rows in line order.
 
         The columns are decoded by the pattern when every non-blank line is
-        in the form `write` gives, the ids (the first field) are unique and
-        make raises no RowError. Otherwise parse_line reads each line, giving
-        (id, the row's other values), and a fault or a duplicate id is a
-        ValueError naming its line, as is a RowError of make.
+        in the form `write` gives, and by _parse_line otherwise. Then the ids
+        (the first field) must be unique, and make must raise no RowError:
+        a fault of either kind, as of a line, is a ValueError naming its line.
         """
-        columns = self._decode(text)
-        if columns is not None and len(set(columns[0])) == len(columns[0]):
-            try:
-                return make(*columns)
-            except RowError:
-                pass  # named by the per-line path
-        numbered = parse_lines(text, parse_line)
-        rows = unique_ids(numbered)
-        values = zip(*rows.values()) if rows else ((),) * (len(self.keys) - 1)
+        line_nos, columns = (self._decode(text)
+                             or columns_by_line(text, self._parse_line, len(self.keys)))
+        unique_ids(line_nos, columns[0])
         try:
-            return make(tuple(rows), *values)
+            return make(*columns)
         except RowError as exc:
-            raise line_error(numbered[exc.row][0], exc) from exc
+            raise line_error(line_nos[exc.row], exc) from exc
 
-    def _decode(self, text: str) -> list | None:
-        """The columns of `text` when each of its numbered_lines is in the
-        form `write` gives, with finite numbers; None otherwise."""
+    def _parse_line(self, line: str) -> tuple:
+        """The values of one line, each read by its field's kind."""
+        obj = json_object(line, self.what)
+        return tuple(_FIELD_READERS[kind](obj, key) for key, kind in zip(self.keys, self.kinds))
+
+    def _decode(self, text: str) -> tuple[list[int], list] | None:
+        """The line numbers and columns of `text` when each of its
+        numbered_lines is in the form `write` gives, with finite numbers;
+        None otherwise."""
         with _collector_paused():
             rows = self._pattern.findall(text)
         # a match is a whole line of printable ASCII, so it is one numbered line
-        if len(rows) != len(numbered_lines(text)[1]):
+        line_nos, lines = numbered_lines(text)
+        if len(rows) != len(lines):
             return None
         columns = []
         for kind, column in zip(self.kinds, zip(*rows) if rows else ((),) * len(self.kinds)):
@@ -370,7 +383,7 @@ class JsonLines:
                 if np.isinf(column).any():  # 1e400; a NaN is only ever a null
                     return None
             columns.append(column)
-        return columns
+        return line_nos, columns
 
 
 _EMBEDDINGS = ("emo_embedding", "spk_embedding")
@@ -378,8 +391,8 @@ _EMBEDDINGS = ("emo_embedding", "spk_embedding")
 _COLUMNS = ("id", "speaker", "emotion", "vad", "audio_path", *_EMBEDDINGS)
 
 
-def _parse_record(line: str) -> tuple[str, tuple]:
-    """(id, the row's column values); the VAD range is checked over all rows."""
+def _parse_record(line: str) -> tuple:
+    """The row's column values; the VAD range and the ids are checked over all rows."""
     obj = json_object(line, "record")
     audio_path = obj.get("audio_path")
     if audio_path is not None and type(audio_path) is not str:
@@ -395,18 +408,19 @@ def _parse_record(line: str) -> tuple[str, tuple]:
     for key, embedding in zip(_EMBEDDINGS, embeddings):
         if embedding == ():
             raise ValueError(f"{key} must have positive dimension when present")
-    return rec_id, (rec_id, speaker, emotion, vad, audio_path, *embeddings)
+    return rec_id, speaker, emotion, vad, audio_path, *embeddings
 
 
-def _decode_manifest(text: str) -> tuple | None:
-    """The id-sorted columns of `text` when every record is in the strict
-    subset read here: string labels, a list of three JSON numbers for `vad`,
-    VAD points in the unit cube and unique ids. None for anything else,
-    which the per-line path then reads or names."""
+def _decode_manifest(text: str) -> tuple[list[int], list] | None:
+    """The line numbers and columns of `text` when every record is in the
+    strict subset read here: non-empty string ids, string labels, and a list
+    of three finite JSON numbers for `vad`. None for anything else, which
+    the per-line path then reads or names."""
+    line_nos, lines = numbered_lines(text)
     with _collector_paused():
         rows = []
         try:
-            for line in numbered_lines(text)[1]:
+            for line in lines:
                 obj = json.loads(line)
                 if type(obj) is not dict:
                     return None
@@ -423,39 +437,36 @@ def _decode_manifest(text: str) -> tuple | None:
             return None
         try:
             vad = np.array(vads, dtype=np.float64).reshape(-1, 3)
-            check_in_cube(vad)  # which also rejects NaN and infinities
             embeddings = [[None if values is None else tuple(number_list(values, key))
                            for values in column]
                           for key, column in zip(_EMBEDDINGS, raw_embeddings)]
         except (ValueError, OverflowError):  # OverflowError: an integer beyond the float range
             return None
-        if () in embeddings[0] or () in embeddings[1] or len(set(ids)) < len(ids):
+        if not np.isfinite(vad).all() or () in embeddings[0] or () in embeddings[1]:
             return None
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    return (*(tuple(map(column.__getitem__, order))
-              for column in (ids, speakers, emotions)),
-            vad[order],
-            *(tuple(map(column.__getitem__, order)) for column in (audio_paths, *embeddings)))
-
-
-def _manifest_by_line(text: str) -> tuple:
-    """The id-sorted columns of `text`, read by _parse_record line by line."""
-    numbered = parse_lines(text, _parse_record)
-    try:
-        check_in_cube(np.reshape([row[3] for _, (_, row) in numbered], (-1, 3)))
-    except RowError as exc:
-        raise line_error(numbered[exc.row][0], exc) from exc
-    rows = unique_ids(numbered)
-    return tuple(zip(*(rows[k] for k in sorted(rows)))) if rows else ((),) * 7
+    return line_nos, [ids, speakers, emotions, vad, audio_paths, *embeddings]
 
 
 def parse_manifest(source, neutral_label: str = "neutral") -> DatasetManifest:
     """Parse a line-delimited manifest from bytes, text, a path, or a stream;
-    a malformed record, a VAD component outside [0, 1] or a duplicate id is a
-    ValueError naming its line."""
+    a malformed record, then a VAD component outside [0, 1], then a
+    duplicate id is a ValueError naming its line."""
     text = _coerce_text(source)
-    columns = _decode_manifest(text) or _manifest_by_line(text)
-    return DatasetManifest(*columns, neutral_label=neutral_label)
+    line_nos, columns = (_decode_manifest(text)
+                         or columns_by_line(text, _parse_record, len(_COLUMNS)))
+    ids, speakers, emotions, vad, *rest = columns
+    vad = as_points(vad)
+    try:
+        check_in_cube(vad)
+    except RowError as exc:
+        raise line_error(line_nos[exc.row], exc) from exc
+    unique_ids(line_nos, ids)
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+
+    def sort(column) -> tuple:
+        return tuple(map(column.__getitem__, order))
+    return DatasetManifest(sort(ids), sort(speakers), sort(emotions), vad[order],
+                           *map(sort, rest), neutral_label=neutral_label)
 
 
 def read_wav(path) -> AudioBuffer:

@@ -27,7 +27,6 @@ from .manifest import (
     DatasetManifest,
     JsonLines,
     json_object,
-    label_field,
     number_field,
     number_list,
     object_value,
@@ -290,8 +289,8 @@ def model_from_json(text: str) -> EasvModel:
 
 
 # the EASV file: one record per line, angles in radians
-_EASV_LINES = JsonLines(("id", str), ("emotion", str), ("r_iqr", float), ("theta", float),
-                        ("phi", float))
+_EASV_LINES = JsonLines("EASV record", ("id", str), ("emotion", str), ("r_iqr", float),
+                        ("theta", float), ("phi", float))
 
 
 def easv_set_to_jsonl(easvs: EasvSet) -> str:
@@ -299,13 +298,6 @@ def easv_set_to_jsonl(easvs: EasvSet) -> str:
     return _EASV_LINES.write(easvs.ids, easvs.emotions, easvs.r_iqr, easvs.theta, easvs.phi)
 
 
-def _parse_easv_line(line: str) -> tuple[str, tuple]:
-    obj = json_object(line, "EASV record")
-    return label_field(obj, "id"), (
-        label_field(obj, "emotion"), number_field(obj, "r_iqr"),
-        number_field(obj, "theta"), number_field(obj, "phi"))
-
-
 def easv_set_from_jsonl(text: str) -> EasvSet:
-    """Parse easv_set_to_jsonl output; a fault or a duplicate id names its line."""
-    return _EASV_LINES.read(text, _parse_easv_line, EasvSet)
+    """Parse easv_set_to_jsonl output; every fault names its line."""
+    return _EASV_LINES.read(text, EasvSet)

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import _kernels
 from .geometry import RowError, first_fault
-from .manifest import AudioBuffer, parse_lines
+from .manifest import AudioBuffer, JsonLines, parse_lines
 
 MIN_SAMPLE_RATE = 8000
 
@@ -151,6 +151,22 @@ class ProsodySet:
                                   for s in stats.values()],
                    [s.energy_mean for s in stats.values()],
                    [s.duration_s for s in stats.values()])
+
+
+# the prosody file: one utterance per line, pitch null when nothing is voiced
+_PROSODY_LINES = JsonLines("prosody record", ("id", str), ("pitch_mean_hz", None),
+                           ("energy_mean", float), ("duration_s", float))
+
+
+def prosody_set_to_jsonl(prosody: ProsodySet) -> str:
+    """One (id, pitch_mean_hz, energy_mean, duration_s) object per line."""
+    return _PROSODY_LINES.write(prosody.ids, prosody.pitch_mean_hz, prosody.energy_mean,
+                                prosody.duration_s)
+
+
+def prosody_set_from_jsonl(text: str) -> ProsodySet:
+    """Parse prosody_set_to_jsonl output; every fault names its line."""
+    return _PROSODY_LINES.read(text, ProsodySet)
 
 
 def frame_energy(audio: AudioBuffer, window: int, hop: int) -> np.ndarray:
@@ -370,11 +386,11 @@ def _parse_track_line(line: str) -> tuple[str | None, object]:
 
 def track_from_text(text: str) -> F0Track:
     """Parse a track file; a malformed line is an error naming it."""
-    numbered = parse_lines(text, _parse_track_line)
-    header = {key: value for _, (key, value) in numbered if key is not None}
+    _, parsed = parse_lines(text, _parse_track_line)
+    header = {key: value for key, value in parsed if key is not None}
     if header.get("hop") is None or header.get("sample_rate") is None:
         raise ValueError("track text missing '# hop=' or '# sample_rate=' header")
-    frames = [frame for _, (key, frame) in numbered if key is None]
+    frames = [frame for key, frame in parsed if key is None]
     f0, voiced, periodicity = zip(*frames) if frames else ((), (), ())
     return F0Track(f0_hz=np.array(f0), voiced=np.array(voiced, dtype=bool),
                    periodicity=np.array(periodicity), hop=header["hop"],

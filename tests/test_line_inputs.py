@@ -14,6 +14,7 @@ import importlib.util
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,19 +26,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vadsphere import cli, manifest, parse_manifest, pipeline
+from vadsphere import cli, manifest, parse_manifest
 from vadsphere.cli import (
     _parse_pair,
     _parse_vad_points,
     _parse_vectors,
-    _prosody_set_from_jsonl,
-    _prosody_set_to_jsonl,
     _stripped_lines,
     run,
 )
 from vadsphere.manifest import JsonLines, parse_lines
 from vadsphere.pipeline import EasvSet, easv_set_from_jsonl, easv_set_to_jsonl
-from vadsphere.prosody import ProsodySet, track_from_text
+from vadsphere.prosody import (
+    ProsodySet,
+    prosody_set_from_jsonl,
+    prosody_set_to_jsonl,
+    track_from_text,
+)
 
 _unit = st.floats(min_value=0.0, max_value=1.0)
 _finite = st.floats(min_value=-1e6, max_value=1e6)
@@ -100,7 +104,7 @@ def _easv_value(text):
 
 
 def _prosody_value(text):
-    p = _prosody_set_from_jsonl(text)
+    p = prosody_set_from_jsonl(text)
     return p.ids, p.pitch_mean_hz.tobytes(), p.energy_mean.tobytes(), p.duration_s.tobytes()
 
 
@@ -147,7 +151,7 @@ FORMATS = (
            lambda text: _stripped_lines(text, "wav paths"), None),
     Format("pairs", lambda draw, dim: _numbered(draw, _pair_line),
            lambda dim: ("0.1 0.2", "0.1 0.2 maybe", "x 0.2 1", "0.1 inf 1"),
-           lambda text: [p for _, p in parse_lines(text, _parse_pair)],
+           lambda text: parse_lines(text, _parse_pair)[1],
            lambda path, c: ["pair-acc", "--pairs", path]),
     Format("f0-track", _track_lines,
            lambda dim: ("0 abc 1 0.5", "0 100.0 7 0.5", "0 inf 1 0.5", "0 100.0 1", "# hop=0",
@@ -506,7 +510,7 @@ def test_easv_decoder_matches_per_line_path(text, input_path, companions):
 @given(text=_json_lines_texts(_PROSODY_FIELDS))
 def test_prosody_decoder_matches_per_line_path(text, input_path, companions):
     _assert_json_lines_same_both_ways(
-        _prosody_set_from_jsonl, text, ["analyze", "--easv", companions["easv"], "--prosody",
+        prosody_set_from_jsonl, text, ["analyze", "--easv", companions["easv"], "--prosody",
                                         str(input_path), "--manifest", companions["manifest"]],
         input_path)
 
@@ -527,12 +531,47 @@ _ODD_VALUES = [
 def test_json_lines_decoders_match_per_line_path_on_each_value(fmt, key, text):
     first = _TWO_LINES[fmt]
     second = json.dumps({**json.loads(first), "id": "u1", key: None}).replace("null", text)
-    fast, slow = _both_ways(easv_set_from_jsonl if fmt == "easv" else _prosody_set_from_jsonl,
+    fast, slow = _both_ways(easv_set_from_jsonl if fmt == "easv" else prosody_set_from_jsonl,
                             f"{first}\n{second}\n")
     if isinstance(fast, str) or isinstance(slow, str):
         assert fast == slow
     else:
         assert _columns(fast) == _columns(slow)
+
+
+_MANIFEST_LINE = '{"id": "u0", "speaker": "s", "emotion": "happy", "vad": [0.5, 0.25, 1.0]}'
+# (reader, first line, the second line's changes, the fault that names line 3)
+_ROW_RULES = [
+    (read, first, {"id": "u0"}, "duplicate id 'u0' (first seen at line 1)")
+    for read, first in ((easv_set_from_jsonl, _TWO_LINES["easv"]),
+                        (prosody_set_from_jsonl, _TWO_LINES["prosody"]),
+                        (parse_manifest, _MANIFEST_LINE))
+] + [
+    (easv_set_from_jsonl, _TWO_LINES["easv"], {"id": "u1", "r_iqr": 1.5},
+     "r_iqr 1.5 outside [0, 1]"),
+    (prosody_set_from_jsonl, _TWO_LINES["prosody"], {"id": "u1", "duration_s": -1.0},
+     "duration_s -1.0 must be positive"),
+    (parse_manifest, _MANIFEST_LINE, {"id": "u1", "vad": [0.5, 1.5, 0.0]},
+     "arousal component 1.5 outside [0, 1]"),
+]
+
+
+@pytest.mark.parametrize("read, first, changes, fault", _ROW_RULES,
+                         ids=[f"{r[0].__name__}-{r[3].split()[0]}" for r in _ROW_RULES])
+def test_rules_over_rows_run_once_after_the_column_path(read, first, changes, fault):
+    """A duplicate id, an EASV or prosody value out of range and a VAD point
+    outside the cube are checked on the columns, whichever path read them:
+    the column path names the line as the per-line path does, and reads no
+    line a second time to do so."""
+    text = f"{first}\n\n{json.dumps({**json.loads(first), **changes})}\n"
+    assert _both_ways(read, text) == (f"line 3: {fault}",) * 2
+
+    def no_per_line_pass(*args):
+        raise AssertionError("per-line parser called")
+    with mock.patch.object(JsonLines, "_parse_line", no_per_line_pass), \
+            mock.patch.object(manifest, "_parse_record", no_per_line_pass), \
+            pytest.raises(ValueError, match=f"^line 3: {re.escape(fault)}$"):
+        read(text)
 
 
 @settings(max_examples=100, deadline=None)
@@ -551,15 +590,15 @@ def test_writers_emit_json_dumps_lines(rows):
     assert _columns(easv_set_from_jsonl(text)) == _columns(easvs)
     prosody = ProsodySet(ids, [math.nan if r[4] is None else r[4] for r in rows],
                          [r[5] for r in rows], [r[6] for r in rows])
-    text = _prosody_set_to_jsonl(prosody)
+    text = prosody_set_to_jsonl(prosody)
     assert text == "".join(json.dumps({"id": i, "pitch_mean_hz": r[4], "energy_mean": r[5],
                                        "duration_s": r[6]}) + "\n"
                            for i, r in zip(ids, rows))
-    assert _columns(_prosody_set_from_jsonl(text)) == _columns(prosody)
+    assert _columns(prosody_set_from_jsonl(text)) == _columns(prosody)
 
 
 def test_json_lines_writer_refuses_non_finite_numbers():
-    lines = JsonLines(("id", str), ("pitch", None), ("energy", float))
+    lines = JsonLines("record", ("id", str), ("pitch", None), ("energy", float))
     assert lines.write(["a"], [math.nan], [0.5]) == '{"id": "a", "pitch": null, "energy": 0.5}\n'
     for pitch, energy, message in ((math.inf, 0.5, "pitch inf"), (1.0, math.nan, "energy nan"),
                                    (1.0, -math.inf, "energy -inf")):
@@ -588,11 +627,11 @@ def test_benchmark_inputs_take_no_per_line_pass(workload, tmp_path, monkeypatch)
     workloads = _load_workloads()
     inputs = workloads.generate(workloads.WORKLOADS[workload].scaled(0.002), 1, tmp_path)
 
-    def no_per_line_pass(line):
+    def no_per_line_pass(*args):
         raise AssertionError("per-line parser called")
-    for module, name in ((cli, "_parse_vector"), (manifest, "_parse_record"),
-                         (pipeline, "_parse_easv_line"), (cli, "_parse_prosody_line")):
-        monkeypatch.setattr(module, name, no_per_line_pass)
+    for owner, name in ((cli, "_parse_vector"), (manifest, "_parse_record"),
+                        (JsonLines, "_parse_line")):
+        monkeypatch.setattr(owner, name, no_per_line_pass)
     m, easv, prosody = str(inputs.manifest), tmp_path / "easv.jsonl", tmp_path / "prosody.jsonl"
     assert run(["fit", "--manifest", m, "--out", str(tmp_path / "model.json")]) == 0
     assert run(["extract", "--manifest", m, "--model", str(tmp_path / "model.json"),
@@ -604,7 +643,7 @@ def test_benchmark_inputs_take_no_per_line_pass(workload, tmp_path, monkeypatch)
         prosody = inputs.prosody_for_analyze
     easvs = easv_set_from_jsonl(easv.read_text(encoding="utf-8"))
     assert len(easvs) == inputs.n_records
-    assert sorted(_prosody_set_from_jsonl(prosody.read_text(encoding="utf-8")).ids) == sorted(
+    assert sorted(prosody_set_from_jsonl(prosody.read_text(encoding="utf-8")).ids) == sorted(
         easvs.ids)
     assert run(["analyze", "--easv", str(easv), "--prosody", str(prosody), "--manifest", m,
                 "--out", str(tmp_path / "report.md")]) == 0

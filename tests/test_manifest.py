@@ -275,7 +275,7 @@ def test_parse_lines_restores_garbage_collection():
     try:
         for enabled in (True, False):
             gc.enable() if enabled else gc.disable()
-            assert parse_lines("a\n\nb\n", str.upper) == [(1, "A"), (3, "B")]
+            assert parse_lines("a\n\nb\n", str.upper) == ([1, 3], ["A", "B"])
             with pytest.raises(ValueError, match="^line 3: bad$"):
                 parse_lines("\n \nx\n", bad)
             assert gc.isenabled() == enabled
