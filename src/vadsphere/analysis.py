@@ -9,6 +9,8 @@ since their intensity is fixed at zero.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 from itertools import repeat
@@ -167,6 +169,11 @@ def _fmt_count(value: int | None) -> str:
     return "-" if value is None else f"{value:,}"
 
 
+def _md_label(label: str) -> str:
+    """A label as a markdown table cell: `|` escaped, so it adds no column."""
+    return label.replace("|", "\\|")
+
+
 def _markdown(report: AnalysisReport) -> str:
     header = ["Emotion", "Style"]
     header += [f"N {r}" for r in REGION_ORDER] + ["N All"]
@@ -187,7 +194,7 @@ def _markdown(report: AnalysisReport) -> str:
     ]
 
     if report.neutral.count > 0:
-        neutral_row = [report.neutral_label, "All", "-", "-", "-",
+        neutral_row = [_md_label(report.neutral_label), "All", "-", "-", "-",
                        _fmt_count(report.neutral.count)]
         for feature in FEATURES:
             neutral_row += ["-", "-", "-", "-",
@@ -200,7 +207,7 @@ def _markdown(report: AnalysisReport) -> str:
             if all(c is None for c in row_cells):
                 continue
             counts = [c.count if c else 0 for c in row_cells]
-            row = [emotion, octant.tag]
+            row = [_md_label(emotion), octant.tag]
             row += [_fmt_count(c.count) if c else "-" for c in row_cells]
             row.append(_fmt_count(sum(counts)))
             for feature in FEATURES:
@@ -213,20 +220,24 @@ def _markdown(report: AnalysisReport) -> str:
 
 
 def _csv(report: AnalysisReport) -> str:
-    def row(key: tuple[str, str, str], c: AnalysisCell) -> str:
-        means = (c.pitch_mean, c.energy_mean, c.duration_mean)
-        return ",".join([*key, str(c.count), *("" if m is None else repr(m) for m in means)])
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")  # quotes a label holding , " or a line break
 
-    lines = ["emotion,octant,region,count,pitch_mean,energy_mean,duration_mean"]
+    def row(key: tuple[str, str, str], c: AnalysisCell) -> None:
+        means = (c.pitch_mean, c.energy_mean, c.duration_mean)
+        writer.writerow([*key, c.count, *("" if m is None else repr(m) for m in means)])
+
+    writer.writerow(["emotion", "octant", "region", "count", "pitch_mean", "energy_mean",
+                     "duration_mean"])
     if report.neutral.count > 0:
-        lines.append(row((report.neutral_label, "", ""), report.neutral))
+        row((report.neutral_label, "", ""), report.neutral)
     for emotion in report.emotion_order:
         for octant in OCTANT_ORDER:
             for region in REGION_ORDER:
                 key = (emotion, octant.tag, region)
                 if key in report.cells:
-                    lines.append(row(key, report.cells[key]))
-    return "\n".join(lines) + "\n"
+                    row(key, report.cells[key])
+    return out.getvalue()
 
 
 def render_report(report: AnalysisReport, format: str = "markdown") -> str:

@@ -331,7 +331,7 @@ def _cmd_prosody(args) -> str:
         jobs_input = list(zip(manifest.ids, manifest.audio_paths))
         for rec_id, path in jobs_input:
             if path is None:
-                raise ValueError(f"record '{rec_id}' has no audio_path")
+                raise ValueError(f"{args.manifest}: record '{rec_id}' has no audio_path")
     else:
         jobs_input = [(p, p) for p in _parse_file(args.wav_list, _wav_paths)]
 

@@ -1,4 +1,7 @@
+import csv
+import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -227,6 +230,39 @@ def test_render_csv_empty_fields_for_absent_means():
     report = build_report(easvs, ProsodySet.from_stats(prosody), manifest)
     lines = render_report(report, "csv").splitlines()
     assert lines[1] == "angry,I,R2,1,,5.0,3.0"
+
+
+def _labelled_report(emotion: str, neutral_label: str):
+    """A report of one emotional cell and one neutral record, under these labels."""
+    records = (UtteranceRecord("u1", "s", emotion, VadPoint(0.5, 0.5, 0.5)),
+               UtteranceRecord("u2", "s", neutral_label, VadPoint(0.5, 0.5, 0.5)))
+    theta, phi = _octant_angles("I")
+    easvs = EasvSet.from_rows({"u1": (emotion, 0.5, theta, phi),
+                               "u2": (neutral_label, 0.0, 0.0, 0.0)})
+    prosody = {"u1": ProsodyStats(70.0, 5.0, 3.0), "u2": ProsodyStats(None, 2.0, 1.0)}
+    return build_report(easvs, ProsodySet.from_stats(prosody),
+                        manifest_of(records, neutral_label))
+
+
+@pytest.mark.parametrize("label", ['calm, "soft"', "a|b", "two\nlines", "plain"])
+def test_render_csv_quotes_labels(label):
+    text = render_report(_labelled_report(label, f"neutral {label}"), "csv")
+    rows = list(csv.reader(io.StringIO(text)))
+    assert [len(row) for row in rows] == [7, 7, 7]
+    assert [rows[1][0], rows[2][0]] == [f"neutral {label}", label]
+    if label == "plain":  # written as before: no label needs quotes
+        assert text.splitlines()[1:] == ["neutral plain,,,1,,2.0,1.0", "plain,I,R2,1,70.0,5.0,3.0"]
+
+
+def test_render_markdown_escapes_pipes_in_labels():
+    text = render_report(_labelled_report("a|b", "n|x"), "markdown")
+    header, _, *rows = [line for line in text.splitlines() if line.startswith("|")]
+
+    def columns(line: str) -> int:
+        return len(re.split(r"(?<!\\)\|", line))
+    assert len(rows) == 2
+    assert [columns(row) for row in rows] == [columns(header)] * 2
+    assert rows[0].startswith("| n\\|x | All |") and rows[1].startswith("| a\\|b | I |")
 
 
 def test_render_unknown_format():

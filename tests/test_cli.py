@@ -661,7 +661,8 @@ def test_prosody_wav_list(tmp_path, capsys):
 
 def test_prosody_requires_audio_path(tmp_path, manifest_file, capsys):
     assert run(["prosody", "--manifest", str(manifest_file)]) == 1
-    assert "audio_path" in capsys.readouterr().err
+    assert re.fullmatch(f"error: {re.escape(str(manifest_file))}: record '[^']+' has no audio_path\n",
+                        capsys.readouterr().err)
 
 
 def _write_8bit_wav(path: Path, sr: int) -> None:
