@@ -214,8 +214,8 @@ def line_error(line_no: int, message) -> ValueError:
 
 def unique_ids(line_nos, ids) -> None:
     """Raise a ValueError naming the first line whose id an earlier line has."""
-    first_seen = dict(zip(reversed(ids), reversed(line_nos)))
-    if len(first_seen) < len(ids):
+    if len(set(ids)) < len(ids):
+        first_seen = dict(zip(reversed(ids), reversed(line_nos)))
         line_no, key = next((n, k) for n, k in zip(line_nos, ids) if first_seen[k] != n)
         raise line_error(line_no, f"duplicate id '{key}' (first seen at line {first_seen[key]})")
 
@@ -372,8 +372,8 @@ class JsonLines:
         with _collector_paused():
             rows = self._pattern.findall(text)
         # a match is a whole line of printable ASCII, so it is one numbered line
-        line_nos, lines = numbered_lines(text)
-        if len(rows) != len(lines):
+        line_nos = numbered_lines(text)[0]
+        if len(rows) != len(line_nos):
             return None
         columns = []
         for kind, column in zip(self.kinds, zip(*rows) if rows else ((),) * len(self.kinds)):
@@ -429,7 +429,7 @@ def _decode_manifest(text: str) -> tuple[list[int], list] | None:
             return None
         ids, speakers, emotions, vads, audio_paths, *raw_embeddings = (
             zip(*rows) if rows else ((),) * len(_COLUMNS))
-        del rows
+        del lines, rows
         if (not {str}.issuperset(map(type, ids + speakers + emotions)) or not all(ids)
                 or not {str, type(None)}.issuperset(map(type, audio_paths))
                 or not {list}.issuperset(map(type, vads)) or not {3}.issuperset(map(len, vads))
@@ -442,6 +442,7 @@ def _decode_manifest(text: str) -> tuple[list[int], list] | None:
                           for key, column in zip(_EMBEDDINGS, raw_embeddings)]
         except (ValueError, OverflowError):  # OverflowError: an integer beyond the float range
             return None
+        # a NaN or an infinity is a fault of its line, for the per-line path to name
         if not np.isfinite(vad).all() or () in embeddings[0] or () in embeddings[1]:
             return None
     return line_nos, [ids, speakers, emotions, vad, audio_paths, *embeddings]
