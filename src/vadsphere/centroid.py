@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -34,15 +33,12 @@ _COMPASS_MIN_STEP = 1e-9
 _COMPASS_DIRECTIONS = np.vstack([np.eye(3), -np.eye(3)])
 
 
-@dataclass(frozen=True)
 class SolverConfig:
-    """The one knob of the centroid objective: the epsilon guarding its denominator."""
+    """The objective's denominator epsilon, fixed and recorded in every model
+    file; no function takes it. A class only because perfbench/traced.py reads
+    ``SolverConfig.denominator_epsilon``."""
 
-    denominator_epsilon: float = 1e-6
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.denominator_epsilon < math.inf):  # also rejects nan
-            raise ValueError("denominator_epsilon must be finite and > 0")
+    denominator_epsilon = 1e-6
 
 
 def _points(points: Sequence[VadPoint] | np.ndarray) -> np.ndarray:
@@ -53,28 +49,22 @@ def _points(points: Sequence[VadPoint] | np.ndarray) -> np.ndarray:
     return arr
 
 
-def _check_eps(eps: float) -> None:
-    if not (0.0 <= eps < math.inf):  # also rejects nan
-        raise ValueError(f"eps {eps} must be finite and >= 0")
-
-
-def objective(m, targets: Sequence, neutrals: Sequence, eps: float) -> float:
+def objective(m, targets: Sequence, neutrals: Sequence) -> float:
     """Distance-ratio objective at candidate center m.
 
     mean distance to the target-class points divided by (mean distance to
-    the neutral points + eps). Larger is better.
+    the neutral points + SolverConfig.denominator_epsilon). Larger is better.
     """
-    _check_eps(eps)
     t_arr = _points(targets)
     n_arr = _points(neutrals)
     m_arr = np.asarray(m, dtype=np.float64)
     if m_arr.shape != (3,):
         raise ValueError("candidate center must have 3 components")
-    return float(_kernels.distance_ratio(m_arr, t_arr, n_arr, eps))
+    return float(_kernels.distance_ratio(m_arr, t_arr, n_arr,
+                                         SolverConfig.denominator_epsilon))
 
 
-def solve_centroid(targets: Sequence, neutrals: Sequence,
-                   cfg: SolverConfig | None = None) -> Centroid:
+def solve_centroid(targets: Sequence, neutrals: Sequence) -> Centroid:
     """Maximize the distance-ratio objective over the VAD cube.
 
     Runs ``grid_search_centroid`` at step 0.1, then a compass search from
@@ -87,11 +77,10 @@ def solve_centroid(targets: Sequence, neutrals: Sequence,
     objective is at least that of every lattice point. No randomness: the
     same inputs give the same Centroid, bit for bit.
     """
-    cfg = cfg or SolverConfig()
     t_arr = _points(targets)
     n_arr = _points(neutrals)
-    eps = cfg.denominator_epsilon
-    start = grid_search_centroid(t_arr, n_arr, _LATTICE_STEP, eps)
+    eps = SolverConfig.denominator_epsilon
+    start = grid_search_centroid(t_arr, n_arr, _LATTICE_STEP)
     best_point, best_value = np.array(start.point), start.objective
     h = _COMPASS_STEP
     moves = halvings = 0
@@ -113,8 +102,7 @@ def solve_centroid(targets: Sequence, neutrals: Sequence,
     return Centroid(point=tuple(float(x) for x in best_point), objective=float(best_value))
 
 
-def grid_search_centroid(targets: Sequence, neutrals: Sequence, step: float,
-                         eps: float = SolverConfig.denominator_epsilon) -> Centroid:
+def grid_search_centroid(targets: Sequence, neutrals: Sequence, step: float) -> Centroid:
     """Exhaustive maximizer over the lattice {0, step, 2*step, ..., 1}^3.
 
     The lattice scan of solve_centroid, which runs it at step 0.1. Ties
@@ -123,12 +111,12 @@ def grid_search_centroid(targets: Sequence, neutrals: Sequence, step: float,
     """
     if not (0.0 < step <= 0.5):
         raise ValueError(f"step {step} must be in (0, 0.5]")
-    _check_eps(eps)
     t_arr = _points(targets)
     n_arr = _points(neutrals)
     m = int(math.floor(1.0 / step + 1e-9))
     axis = np.minimum(np.arange(m + 1, dtype=np.float64) * step, 1.0)
-    values = _kernels.grid_objective_values(axis, t_arr, n_arr, eps)
+    values = _kernels.grid_objective_values(axis, t_arr, n_arr,
+                                            SolverConfig.denominator_epsilon)
     idx = np.unravel_index(int(np.argmax(values)), (axis.size,) * 3)
     point = tuple(float(axis[i]) for i in idx)
-    return Centroid(point=point, objective=objective(point, t_arr, n_arr, eps))
+    return Centroid(point=point, objective=objective(point, t_arr, n_arr))

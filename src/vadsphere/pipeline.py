@@ -158,8 +158,7 @@ def normalize_radius(r, b: IqrBounds):
     return (np.clip(r, b.r_min, b.r_max) - b.r_min) / (b.r_max - b.r_min)
 
 
-def fit_easv_model(manifest: DatasetManifest,
-                   cfg: SolverConfig | None = None) -> EasvModel:
+def fit_easv_model(manifest: DatasetManifest) -> EasvModel:
     """Fit centroids and per-class radius bounds for every non-neutral class.
 
     Requires at least one neutral record, at least one non-neutral class and
@@ -167,7 +166,6 @@ def fit_easv_model(manifest: DatasetManifest,
     constant spread (all class points equidistant from the centroid) are
     rejected because they leave nothing to normalize.
     """
-    cfg = cfg or SolverConfig()
     vad, rows = manifest.vad, manifest.class_rows()
     neutrals = vad[rows.pop(manifest.neutral_label, [])]
     if len(neutrals) == 0:
@@ -181,7 +179,7 @@ def fit_easv_model(manifest: DatasetManifest,
                 f"class '{emotion}' has {len(class_rows)} records; "
                 f"need at least {MIN_CLASS_RECORDS}")
         targets = vad[class_rows]
-        centroid = solve_centroid(targets, neutrals, cfg)
+        centroid = solve_centroid(targets, neutrals)
         class_bounds = iqr_bounds(to_spherical(shift(targets, centroid))[:, 0])
         if class_bounds.degenerate:
             raise ValueError(f"degenerate radius bounds for class '{emotion}'")
@@ -234,14 +232,13 @@ def make_control_vector(emotion: str, octant: StyleOctant, intensity: float) -> 
 # serialization
 # ---------------------------------------------------------------------------
 
-def model_to_json(model: EasvModel, cfg: SolverConfig | None = None) -> str:
+def model_to_json(model: EasvModel) -> str:
     """Serialize a model (with provenance) to a deterministic JSON document."""
-    cfg = cfg or SolverConfig()
     doc = {
         "format": MODEL_FORMAT,
         "tool_version": TOOL_VERSION,
         "neutral_label": model.neutral_label,
-        "solver": {"denominator_epsilon": cfg.denominator_epsilon},
+        "solver": {"denominator_epsilon": SolverConfig.denominator_epsilon},
         "centroids": {
             emotion: {"point": list(c.point), "objective": c.objective}
             for emotion, c in model.centroids.items()

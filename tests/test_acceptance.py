@@ -13,7 +13,6 @@ import pytest
 
 from vadsphere import (
     AudioBuffer,
-    SolverConfig,
     VadPoint,
     eecs,
     estimate_f0,
@@ -95,12 +94,10 @@ def test_algorithm_end_to_end(tmp_path):
 def test_centroid_oracle_equivalence():
     with _criterion("solver objective >= 0.01-grid objective - 1e-3 on 10 instances"):
         rng = np.random.default_rng(20240809)
-        cfg = SolverConfig()
         for i in range(10):
             targets, neutrals = random_solver_instance(rng, n=200)
-            sol = solve_centroid(targets, neutrals, cfg)
-            oracle = grid_search_centroid(targets, neutrals, step=0.01,
-                                          eps=cfg.denominator_epsilon)
+            sol = solve_centroid(targets, neutrals)
+            oracle = grid_search_centroid(targets, neutrals, step=0.01)
             assert sol.objective >= oracle.objective - 1e-3, (
                 f"instance {i}: solver {sol.objective} < grid {oracle.objective}")
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vadsphere import (
-    SolverConfig,
     VadPoint,
     _kernels,
     grid_search_centroid,
@@ -18,29 +17,26 @@ from conftest import random_solver_instance
 
 
 def test_objective_equal_distances():
-    value = objective((0, 0, 0), [VadPoint(1, 0, 0)], [VadPoint(0, 1, 0)], eps=0.0)
-    assert value == pytest.approx(1.0)
+    value = objective((0, 0, 0), [VadPoint(1, 0, 0)], [VadPoint(0, 1, 0)])
+    assert value == pytest.approx(1.0 / (1.0 + 1e-6))
 
 
 def test_objective_closed_form():
-    value = objective((0, 0.5, 0), [VadPoint(1, 0, 0)], [VadPoint(0, 1, 0)], eps=0.0)
-    assert value == pytest.approx(math.sqrt(1.25) / 0.5, rel=1e-12)
+    value = objective((0, 0.5, 0), [VadPoint(1, 0, 0)], [VadPoint(0, 1, 0)])
+    assert value == pytest.approx(math.sqrt(1.25) / (0.5 + 1e-6), rel=1e-12)
 
 
 def test_objective_epsilon_floor():
-    value = objective((0, 1, 0), [VadPoint(1, 0, 0)], [VadPoint(0, 1, 0)], eps=1e-6)
+    value = objective((0, 1, 0), [VadPoint(1, 0, 0)], [VadPoint(0, 1, 0)])
     assert value == pytest.approx(math.sqrt(2.0) / 1e-6, rel=1e-9)
     assert math.isfinite(value)
 
 
 def test_objective_rejects_empty():
     with pytest.raises(ValueError):
-        objective((0, 0, 0), [], [VadPoint(0, 1, 0)], eps=0.0)
+        objective((0, 0, 0), [], [VadPoint(0, 1, 0)])
     with pytest.raises(ValueError):
-        objective((0, 0, 0), [VadPoint(0, 1, 0)], [], eps=0.0)
-    for eps in (math.nan, math.inf, -1e-6):
-        with pytest.raises(ValueError, match="eps"):
-            objective((0, 0, 0), [VadPoint(1, 0, 0)], [VadPoint(0, 1, 0)], eps=eps)
+        objective((0, 0, 0), [VadPoint(0, 1, 0)], [])
 
 
 def test_objective_continuity_property():
@@ -50,30 +46,30 @@ def test_objective_continuity_property():
     for _ in range(100):
         m = rng.uniform(0.1, 0.9, 3)
         delta = rng.uniform(-1e-4, 1e-4, 3)
-        f0 = objective(m, targets, neutrals, eps=1e-3)
-        f1 = objective(m + delta, targets, neutrals, eps=1e-3)
+        f0 = objective(m, targets, neutrals)
+        f1 = objective(m + delta, targets, neutrals)
         assert abs(f1 - f0) <= 1e4 * np.linalg.norm(delta)
 
 
 def test_solver_spike_instance_matches_grid():
     targets = [VadPoint(0.9, 0.9, 0.9)] * 5
     neutrals = [VadPoint(0.5, 0.5, 0.5)] * 5
-    sol = solve_centroid(targets, neutrals, SolverConfig())
+    sol = solve_centroid(targets, neutrals)
     oracle = grid_search_centroid(targets, neutrals, step=0.01)
     assert sol.objective >= oracle.objective - 1e-3
 
 
 def test_solver_identical_sets_degenerate():
     points = [VadPoint(0.3, 0.6, 0.4), VadPoint(0.5, 0.5, 0.5), VadPoint(0.7, 0.4, 0.6)]
-    sol = solve_centroid(points, points, SolverConfig())
+    sol = solve_centroid(points, points)
     assert sol.objective == pytest.approx(1.0, abs=0.05)
 
 
 def test_solver_stays_in_cube_and_is_deterministic():
     rng = np.random.default_rng(23)
     targets, neutrals = random_solver_instance(rng, n=80)
-    a = solve_centroid(targets, neutrals, SolverConfig())
-    b = solve_centroid(targets, neutrals, SolverConfig())
+    a = solve_centroid(targets, neutrals)
+    b = solve_centroid(targets, neutrals)
     assert a.point == b.point  # bit-identical
     assert a.objective == b.objective
     assert all(0.0 <= c <= 1.0 for c in a.point)
@@ -82,8 +78,7 @@ def test_solver_stays_in_cube_and_is_deterministic():
 def test_solver_beats_every_start():
     rng = np.random.default_rng(31)
     targets, neutrals = random_solver_instance(rng, n=60)
-    cfg = SolverConfig()
-    sol = solve_centroid(targets, neutrals, cfg)
+    sol = solve_centroid(targets, neutrals)
     t = np.array([p.as_tuple() for p in targets])
     n = np.array([p.as_tuple() for p in neutrals])
     starts = [n.mean(axis=0), t.mean(axis=0)]
@@ -96,8 +91,7 @@ def test_solver_beats_every_start():
     starts += [np.clip(np.array(sol.point) + sign * h * e, 0.0, 1.0)
                for h in (1e-3, 1e-5, 1e-7) for sign in (1, -1) for e in np.eye(3)]
     for x0 in starts:
-        assert sol.objective >= objective(x0, targets, neutrals,
-                                          cfg.denominator_epsilon) - 1e-12
+        assert sol.objective >= objective(x0, targets, neutrals) - 1e-12
 
 
 def test_grid_step_half_exhaustive():
@@ -108,7 +102,7 @@ def test_grid_step_half_exhaustive():
                for k in (0.0, 0.5, 1.0)]
     assert len(lattice) == 27
     assert result.point in lattice
-    best = max(objective(p, targets, neutrals, 1e-6) for p in lattice)
+    best = max(objective(p, targets, neutrals) for p in lattice)
     assert result.objective == pytest.approx(best, rel=1e-12)
 
 
@@ -118,9 +112,6 @@ def test_grid_step_validation():
         grid_search_centroid(targets, targets, step=0.0)
     with pytest.raises(ValueError):
         grid_search_centroid(targets, targets, step=0.6)
-    for eps in (math.nan, math.inf, -1e-6):
-        with pytest.raises(ValueError, match="eps"):
-            grid_search_centroid(targets, targets, step=0.5, eps=eps)
 
 
 def test_grid_tie_break_lexicographic():
@@ -144,7 +135,7 @@ def test_oracle_dominance_small():
     rng = np.random.default_rng(404)
     for _ in range(3):
         targets, neutrals = random_solver_instance(rng, n=60)
-        sol = solve_centroid(targets, neutrals, SolverConfig())
+        sol = solve_centroid(targets, neutrals)
         oracle = grid_search_centroid(targets, neutrals, step=0.02)
         assert sol.objective >= oracle.objective - 1e-3
 
@@ -160,12 +151,6 @@ def test_solver_dominates_lattice_property(targets, neutrals):
     assert all(0.0 <= c <= 1.0 for c in sol.point)
     assert sol.objective >= grid_search_centroid(targets, neutrals, step=0.1).objective
     assert solve_centroid(targets, neutrals) == sol  # bit-identical rerun
-
-
-def test_solver_config_validation():
-    for eps in (0.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            SolverConfig(denominator_epsilon=eps)
 
 
 def test_rescores_return_the_kernel_values(monkeypatch):

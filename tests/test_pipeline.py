@@ -153,7 +153,7 @@ def _toy_manifest(n_happy=6, with_neutral=True):
 
 
 def test_fit_structure_two_classes():
-    model = fit_easv_model(_toy_manifest(), SolverConfig())
+    model = fit_easv_model(_toy_manifest())
     assert set(model.centroids) == {"happy"}
     assert set(model.bounds) == {"happy"}
     assert model.neutral_label == "neutral"
@@ -161,17 +161,17 @@ def test_fit_structure_two_classes():
 
 def test_fit_requires_neutral():
     with pytest.raises(ValueError, match="no neutral records"):
-        fit_easv_model(_toy_manifest(with_neutral=False), SolverConfig())
+        fit_easv_model(_toy_manifest(with_neutral=False))
 
 
 def test_fit_requires_four_records_per_class():
     with pytest.raises(ValueError, match="at least 4"):
-        fit_easv_model(_toy_manifest(n_happy=3), SolverConfig())
+        fit_easv_model(_toy_manifest(n_happy=3))
 
 
 def test_fit_bounds_recomputation_oracle():
     manifest = synthetic_manifest(per_class=40, seed=9)
-    model = fit_easv_model(manifest, SolverConfig())
+    model = fit_easv_model(manifest)
     for emotion, bounds in model.bounds.items():
         assert bounds.r_min < bounds.q1 <= bounds.q3 < bounds.r_max
         # recompute the radii independently and compare the quartiles
@@ -188,7 +188,7 @@ def _one_record(rec: UtteranceRecord) -> DatasetManifest:
 
 
 def test_extract_neutral_is_exact_zero():
-    model = fit_easv_model(_toy_manifest(), SolverConfig())
+    model = fit_easv_model(_toy_manifest())
     rec = UtteranceRecord("x", "s", "neutral", VadPoint(0.9, 0.1, 0.7))
     easv = extract_easv_set(_one_record(rec), model)
     assert (easv.r_iqr[0], easv.theta[0], easv.phi[0]) == (0.0, 0.0, 0.0)
@@ -213,7 +213,7 @@ def test_extract_worked_example():
 
 
 def test_extract_unknown_class():
-    model = fit_easv_model(_toy_manifest(), SolverConfig())
+    model = fit_easv_model(_toy_manifest())
     rec = UtteranceRecord("x", "s", "fear", VadPoint(0.5, 0.5, 0.5))
     with pytest.raises(ValueError, match="unknown emotion class 'fear'"):
         extract_easv_set(_one_record(rec), model)
@@ -221,7 +221,7 @@ def test_extract_unknown_class():
 
 def test_extract_angle_passthrough_bit_for_bit():
     manifest = synthetic_manifest(per_class=30, seed=12)
-    model = fit_easv_model(manifest, SolverConfig())
+    model = fit_easv_model(manifest)
     easvs = extract_easv_set(manifest, model)
     for row, record in enumerate(manifest.records):
         if record.emotion == "neutral":
@@ -234,7 +234,7 @@ def test_extract_angle_passthrough_bit_for_bit():
 
 def test_extract_set_r_iqr_in_unit_interval():
     manifest = synthetic_manifest(per_class=50, seed=3)
-    model = fit_easv_model(manifest, SolverConfig())
+    model = fit_easv_model(manifest)
     easvs = extract_easv_set(manifest, model)
     assert len(easvs) == len(manifest)
     assert np.all((0.0 <= easvs.r_iqr) & (easvs.r_iqr <= 1.0))
@@ -242,11 +242,10 @@ def test_extract_set_r_iqr_in_unit_interval():
 
 def test_model_determinism_and_serialization_round_trip():
     manifest = synthetic_manifest(per_class=30, seed=8)
-    cfg = SolverConfig()
-    model_a = fit_easv_model(manifest, cfg)
-    model_b = fit_easv_model(manifest, cfg)
-    text_a = model_to_json(model_a, cfg)
-    text_b = model_to_json(model_b, cfg)
+    model_a = fit_easv_model(manifest)
+    model_b = fit_easv_model(manifest)
+    text_a = model_to_json(model_a)
+    text_b = model_to_json(model_b)
     assert text_a == text_b  # byte-identical
     restored = model_from_json(text_a)
     assert restored.neutral_label == model_a.neutral_label
@@ -262,7 +261,7 @@ def test_model_json_rejects_other_documents():
 
 def test_easv_jsonl_round_trip():
     manifest = synthetic_manifest(per_class=10, seed=4)
-    model = fit_easv_model(manifest, SolverConfig())
+    model = fit_easv_model(manifest)
     easvs = extract_easv_set(manifest, model)
     text = easv_set_to_jsonl(easvs)
     back = easv_set_from_jsonl(text)
@@ -279,14 +278,13 @@ def test_easv_model_validation():
         EasvModel(centroids={"happy": centroid}, bounds={}, neutral_label="neutral")
 
 
-def test_fit_denominator_epsilon_config():
+def test_fit_records_the_fixed_denominator_epsilon():
     manifest = synthetic_manifest(per_class=25, seed=6)
-    cfg = SolverConfig(0.001)
-    doc = json.loads(model_to_json(fit_easv_model(manifest, cfg), cfg))
-    assert doc["solver"] == {"denominator_epsilon": 0.001}
+    doc = json.loads(model_to_json(fit_easv_model(manifest)))
+    assert doc["solver"] == {"denominator_epsilon": SolverConfig.denominator_epsilon}
     rows = manifest.class_rows()
     neutrals = manifest.vad[rows["neutral"]]
     assert sorted(doc["centroids"]) == ["angry", "happy", "sad"]
     for emotion, entry in doc["centroids"].items():
         targets = manifest.vad[rows[emotion]]
-        assert entry["objective"] == objective(entry["point"], targets, neutrals, 0.001)
+        assert entry["objective"] == objective(entry["point"], targets, neutrals)
