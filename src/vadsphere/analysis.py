@@ -9,8 +9,6 @@ since their intensity is fixed at zero.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from itertools import repeat
@@ -219,16 +217,22 @@ def _markdown(report: AnalysisReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_field(text: str) -> str:
+    """RFC 4180 quoting for a field holding , " \\r or \\n, on every Python
+    version: csv.writer before 3.13 leaves a lone \\r unquoted."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _csv(report: AnalysisReport) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")  # quotes a label holding , " or a line break
+    rows = [("emotion", "octant", "region", "count", "pitch_mean", "energy_mean",
+             "duration_mean")]
 
     def row(key: tuple[str, str, str], c: AnalysisCell) -> None:
         means = (c.pitch_mean, c.energy_mean, c.duration_mean)
-        writer.writerow([*key, c.count, *("" if m is None else repr(m) for m in means)])
+        rows.append((*key, str(c.count), *("" if m is None else repr(m) for m in means)))
 
-    writer.writerow(["emotion", "octant", "region", "count", "pitch_mean", "energy_mean",
-                     "duration_mean"])
     if report.neutral.count > 0:
         row((report.neutral_label, "", ""), report.neutral)
     for emotion in report.emotion_order:
@@ -237,7 +241,7 @@ def _csv(report: AnalysisReport) -> str:
                 key = (emotion, octant.tag, region)
                 if key in report.cells:
                     row(key, report.cells[key])
-    return out.getvalue()
+    return "".join(",".join(map(_csv_field, r)) + "\n" for r in rows)
 
 
 def render_report(report: AnalysisReport, format: str = "markdown") -> str:

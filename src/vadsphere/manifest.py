@@ -100,6 +100,7 @@ class DatasetManifest:
     def __post_init__(self) -> None:
         vad = as_points(self.vad).copy()  # a copy, so that no caller can change it
         vad.flags.writeable = False
+        check_in_cube(vad)
         object.__setattr__(self, "vad", vad)
         if len({len(self.ids), len(self.speakers), len(self.emotions), len(vad),
                 len(self.audio_paths), len(self.emo_embeddings), len(self.spk_embeddings)}) > 1:
@@ -212,12 +213,14 @@ def line_error(line_no: int, message) -> ValueError:
     return ValueError(f"line {line_no}: {message}")
 
 
-def unique_ids(line_nos, ids) -> None:
-    """Raise a ValueError naming the first line whose id an earlier line has."""
+def unique_ids(line_nos, ids, what: str = "id") -> None:
+    """Raise a ValueError naming the first line whose id an earlier line has;
+    `what` is the id's name in the message."""
     if len(set(ids)) < len(ids):
         first_seen = dict(zip(reversed(ids), reversed(line_nos)))
         line_no, key = next((n, k) for n, k in zip(line_nos, ids) if first_seen[k] != n)
-        raise line_error(line_no, f"duplicate id '{key}' (first seen at line {first_seen[key]})")
+        raise line_error(line_no,
+                         f"duplicate {what} '{key}' (first seen at line {first_seen[key]})")
 
 
 def columns_by_line(text: str, parse_line, width: int) -> tuple[list[int], list]:

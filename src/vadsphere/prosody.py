@@ -40,7 +40,7 @@ import numpy as np
 
 from . import _kernels
 from .geometry import RowError, first_fault
-from .manifest import AudioBuffer, JsonLines, parse_lines
+from .manifest import AudioBuffer, JsonLines, parse_lines, unique_ids
 
 MIN_SAMPLE_RATE = 8000
 
@@ -385,9 +385,12 @@ def _parse_track_line(line: str) -> tuple[str | None, object]:
 
 
 def track_from_text(text: str) -> F0Track:
-    """Parse a track file; a malformed line is an error naming it."""
-    _, parsed = parse_lines(text, _parse_track_line)
-    header = {key: value for key, value in parsed if key is not None}
+    """Parse a track file; a malformed line or a repeated header is an error naming it."""
+    line_nos, parsed = parse_lines(text, _parse_track_line)
+    headers = [(n, key, value) for n, (key, value) in zip(line_nos, parsed)
+               if key in ("hop", "sample_rate")]
+    unique_ids([n for n, _, _ in headers], [key for _, key, _ in headers], "header")
+    header = {key: value for _, key, value in headers}
     if header.get("hop") is None or header.get("sample_rate") is None:
         raise ValueError("track text missing '# hop=' or '# sample_rate=' header")
     frames = [frame for key, frame in parsed if key is None]

@@ -244,7 +244,7 @@ def _labelled_report(emotion: str, neutral_label: str):
                         manifest_of(records, neutral_label))
 
 
-@pytest.mark.parametrize("label", ['calm, "soft"', "a|b", "two\nlines", "plain"])
+@pytest.mark.parametrize("label", ['calm, "soft"', "a|b", "two\nlines", "cr\rlf", "plain"])
 def test_render_csv_quotes_labels(label):
     text = render_report(_labelled_report(label, f"neutral {label}"), "csv")
     rows = list(csv.reader(io.StringIO(text)))

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vadsphere import UtteranceRecord, VadPoint, parse_manifest, read_wav
+from vadsphere import DatasetManifest, UtteranceRecord, VadPoint, parse_manifest, read_wav
+from vadsphere.geometry import RowError
 
 from conftest import manifest_of, serialize_manifest, synthetic_manifest, write_wav
 
@@ -35,6 +36,15 @@ def test_parse_vad_out_of_range():
     line = '{"id":"u1","speaker":"s","emotion":"happy","vad":[1.2,0,0]}'
     with pytest.raises(ValueError, match=r"^line 1: valence component 1.2 outside \[0, 1\]$"):
         parse_manifest(line)
+
+
+def test_manifest_rejects_vad_outside_the_cube():
+    # the constructor holds the invariant its docstring states, not only the parser
+    columns = (("a", "b"), ("s", "s"), ("neutral", "happy"),
+               [[0.5, 0.5, 0.5], [1.5, -2.0, 0.5]], (None, None), (None, None), (None, None))
+    with pytest.raises(RowError, match=r"^valence component 1.5 outside \[0, 1\]$") as exc:
+        DatasetManifest(*columns)
+    assert exc.value.row == 1
 
 
 def test_parse_malformed_line_reports_number():

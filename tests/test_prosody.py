@@ -435,6 +435,8 @@ def test_track_text_requires_header():
     (["# hop=0", "# sample_rate=16000", "0 100.0 1 0.9"], "line 1: hop 0 must be positive"),
     (["# hop=256", "", "# sample_rate=-5", "0 100.0 1 0.9"],
      "line 3: sample_rate -5 must be positive"),
+    (["# hop=256", "# sample_rate=16000", "0 100.0 1 0.9", "# hop=128", "1 100.0 1 0.9"],
+     r"line 4: duplicate header 'hop' \(first seen at line 1\)"),
 ])
 def test_track_text_rejects_bad_voiced_and_header(lines, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
