@@ -7,7 +7,10 @@
   array; the compass stencil of ``solve_centroid``.
 - ``grid_objective_values``: the same objective at every point of a cubic
   lattice, in C order; the lattice scan of ``grid_search_centroid``, which
-  ``solve_centroid`` starts from.
+  ``solve_centroid`` starts from. Every class of a fit is scored against
+  the same neutral cloud, so the neutral half (the lattice's mean distances
+  to the neutral points) is computed once per cloud and axis and kept, read
+  only, until another cloud or axis comes.
 - ``yin_difference``: the squared difference function d(tau) of YIN
   (de Cheveigne & Kawahara 2002) for any batch of frames, via FFT
   correlation at the smallest 5-smooth length >= the frame (1350, not 2048,
@@ -23,7 +26,9 @@ never an approximation of it.
 
 ``centroid`` and ``prosody`` call them as ``_kernels.<name>``, so wrapping a
 module attribute reaches every call; the traced benchmark run counts
-objective evaluations that way.
+``distance_ratio`` calls that way: one per solve, the re-score of
+``grid_search_centroid``'s winner (the compass takes its values from the
+stencil).
 """
 
 from __future__ import annotations
@@ -81,24 +86,46 @@ def objective_values(points: np.ndarray, targets: np.ndarray,
     return mean_distances(targets) / (mean_distances(neutrals) + eps)
 
 
-def grid_objective_values(axis: np.ndarray, targets: np.ndarray,
-                          neutrals: np.ndarray, eps: float) -> np.ndarray:
-    """Objective at every lattice point of axis x axis x axis, C order.
+def _lattice_mean_distances(axis: np.ndarray, cloud: np.ndarray) -> np.ndarray:
+    """Mean distance from every lattice point of axis x axis x axis, C order,
+    to the points of cloud.
 
     Each axis's squared differences are formed once per axis value, and a
     point's squared distances are (Dx[i] + Dy[j]) + Dz[k].
     """
     a = axis.size
+    dx, dy, dz = ((cloud[:, c] - axis[:, None]) ** 2 for c in range(3))
+    out = np.empty((a, a, a))
+    for i in range(a):
+        out[i] = _mean_distances(lambda j, k: (dx[i] + dy[j])[:, None] + dz[k],
+                                 (a, a), len(cloud))
+    return out.ravel()
 
-    def mean_distances(cloud: np.ndarray) -> np.ndarray:
-        dx, dy, dz = ((cloud[:, c] - axis[:, None]) ** 2 for c in range(3))
-        out = np.empty((a, a, a))
-        for i in range(a):
-            out[i] = _mean_distances(lambda j, k: (dx[i] + dy[j])[:, None] + dz[k],
-                                     (a, a), len(cloud))
-        return out.ravel()
 
-    return mean_distances(targets) / (mean_distances(neutrals) + eps)
+def _array_key(arr: np.ndarray) -> tuple:
+    """An array's exact value as a hashable key: dtype, shape and bytes."""
+    return arr.dtype.str, arr.shape, arr.tobytes()
+
+
+@functools.lru_cache(maxsize=1)  # one neutral cloud per fit
+def _neutral_lattice(axis_key: tuple, cloud_key: tuple) -> np.ndarray:
+    """_lattice_mean_distances of the arrays the two keys hold, read-only."""
+    axis, cloud = (np.frombuffer(data, dtype).reshape(shape)
+                   for dtype, shape, data in (axis_key, cloud_key))
+    out = _lattice_mean_distances(axis, cloud)
+    out.flags.writeable = False
+    return out
+
+
+def grid_objective_values(axis: np.ndarray, targets: np.ndarray,
+                          neutrals: np.ndarray, eps: float) -> np.ndarray:
+    """Objective at every lattice point of axis x axis x axis, C order.
+
+    The neutral half is computed once per (axis, neutral cloud): every class
+    of a fit is scored against the same neutral cloud.
+    """
+    neutral = _neutral_lattice(_array_key(axis), _array_key(neutrals))
+    return _lattice_mean_distances(axis, targets) / (neutral + eps)
 
 
 @functools.lru_cache(maxsize=64)  # one entry per frame length in use

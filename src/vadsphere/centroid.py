@@ -72,10 +72,10 @@ def solve_centroid(targets: Sequence, neutrals: Sequence) -> Centroid:
     [0, 1]^3, and moves to the best of them if its objective is strictly
     higher, else halves h, from h = 0.05 down to 1e-9. The stencil values
     are the objective's exact values (``_kernels.objective_values`` equals
-    ``_kernels.distance_ratio`` bit for bit), so the re-score of the chosen
-    point returns the same value. The result lies in the cube and its
-    objective is at least that of every lattice point. No randomness: the
-    same inputs give the same Centroid, bit for bit.
+    ``_kernels.distance_ratio`` bit for bit), so the compass compares them
+    as they are. The result lies in the cube and its objective is at least
+    that of every lattice point. No randomness: the same inputs give the
+    same Centroid, bit for bit.
     """
     t_arr = _points(targets)
     n_arr = _points(neutrals)
@@ -87,8 +87,8 @@ def solve_centroid(targets: Sequence, neutrals: Sequence) -> Centroid:
     while h > _COMPASS_MIN_STEP:
         stencil = np.clip(best_point + h * _COMPASS_DIRECTIONS, 0.0, 1.0)
         values = _kernels.objective_values(stencil, t_arr, n_arr, eps)
-        point = stencil[int(np.argmax(values))]
-        value = _kernels.distance_ratio(point, t_arr, n_arr, eps)
+        i = int(np.argmax(values))
+        point, value = stencil[i], values[i]
         if value > best_value:
             best_point, best_value = point, value
             moves += 1

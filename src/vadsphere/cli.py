@@ -146,7 +146,7 @@ def _stripped_lines(text: str, what: str) -> list[str]:
 def _wav_paths(text: str) -> list[str]:
     """A wav list's paths, sorted; a path is its id, so it is listed once."""
     line_nos, paths = _nonblank(text, str.strip, "wav paths")
-    unique_ids(line_nos, paths)
+    unique_ids(line_nos, paths, what="path")
     return sorted(paths)
 
 

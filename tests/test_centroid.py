@@ -153,21 +153,22 @@ def test_solver_dominates_lattice_property(targets, neutrals):
     assert solve_centroid(targets, neutrals) == sol  # bit-identical rerun
 
 
-def test_rescores_return_the_kernel_values(monkeypatch):
-    # the lattice winner's re-score equals the lattice maximum, and every
-    # compass re-score equals the largest stencil value it was chosen by
+def test_compass_compares_the_kernel_values(monkeypatch):
+    # the lattice winner's re-score equals the lattice maximum, the largest
+    # value of every compass stencil equals distance_ratio at the stencil
+    # point it picks, and the compass makes no other objective call
+    distance_ratio = _kernels.distance_ratio
     calls = []
 
     def recorded(name, fn):
         def wrapper(*args):
-            calls.append((name, fn(*args)))
-            return calls[-1][1]
+            calls.append((name, args, fn(*args)))
+            return calls[-1][2]
         return wrapper
 
     monkeypatch.setattr(_kernels, "objective_values",
                         recorded("stencil", _kernels.objective_values))
-    monkeypatch.setattr(_kernels, "distance_ratio",
-                        recorded("rescore", _kernels.distance_ratio))
+    monkeypatch.setattr(_kernels, "distance_ratio", recorded("rescore", distance_ratio))
     axis = np.minimum(np.arange(11) * 0.1, 1.0)
     rng = np.random.default_rng(2024)
     for _ in range(4):
@@ -177,13 +178,14 @@ def test_rescores_return_the_kernel_values(monkeypatch):
         lattice_max = _kernels.grid_objective_values(axis, t, n, 1e-6).max()
         calls.clear()
         sol = solve_centroid(targets, neutrals)
-        assert calls[0] == ("rescore", lattice_max)
+        assert (calls[0][0], calls[0][2]) == ("rescore", lattice_max)
         compass = calls[1:]
-        assert compass and len(compass) % 2 == 0
+        assert compass
         best = lattice_max
-        for (stencil, values), (rescore, value) in zip(compass[::2], compass[1::2]):
-            assert (stencil, rescore) == ("stencil", "rescore")
-            assert value == values.max()
+        for name, (stencil, *_), values in compass:
+            assert name == "stencil"
+            value = values.max()
+            assert value == distance_ratio(stencil[np.argmax(values)], t, n, 1e-6)
             best = max(best, value)  # the compass accepts only a higher value
         assert sol.objective == best
         assert grid_search_centroid(targets, neutrals, 0.1).objective == lattice_max

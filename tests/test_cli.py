@@ -739,7 +739,7 @@ def test_prosody_wav_list_rejects_repeated_path(tmp_path, capsys, jobs):
     out = tmp_path / "stats.jsonl"
     assert run(["prosody", "--wav-list", str(listing), "--jobs", jobs, "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
-        f"error: {listing}: line 2: duplicate id '{wav}' (first seen at line 1)\n")
+        f"error: {listing}: line 2: duplicate path '{wav}' (first seen at line 1)\n")
     assert not out.exists()
 
 

@@ -15,6 +15,7 @@ from vadsphere import (
     StyleOctant,
     UtteranceRecord,
     VadPoint,
+    _kernels,
     extract_easv_set,
     fit_easv_model,
     intensity_label_to_value,
@@ -32,7 +33,7 @@ from vadsphere.pipeline import (
     model_to_json,
 )
 
-from conftest import manifest_of, synthetic_manifest
+from conftest import CLASS_CENTERS, manifest_of, synthetic_manifest
 
 
 def test_iqr_bounds_outlier_example():
@@ -288,3 +289,34 @@ def test_fit_records_the_fixed_denominator_epsilon():
     for emotion, entry in doc["centroids"].items():
         targets = manifest.vad[rows[emotion]]
         assert entry["objective"] == objective(entry["point"], targets, neutrals)
+
+
+def test_fit_computes_each_neutral_lattice_once(monkeypatch):
+    # every class is scored against the same neutral cloud, so one fit
+    # computes the cloud's lattice half once; a fit against another cloud of
+    # the same shape, whose lattice moves the winners, never gets the kept one
+    manifest_a = synthetic_manifest(per_class=30, seed=11)
+    manifest_b = synthetic_manifest(per_class=30, seed=12, classes={
+        **CLASS_CENTERS, "neutral": (0.70, 0.30, 0.40)})
+
+    def fresh(manifest):
+        _kernels._neutral_lattice.cache_clear()
+        return fit_easv_model(manifest)
+
+    expected = {"a": fresh(manifest_a), "b": fresh(manifest_b)}
+    lattice = _kernels._lattice_mean_distances
+    clouds = []
+
+    def counted(axis, cloud):
+        clouds.append(cloud)
+        return lattice(axis, cloud)
+
+    monkeypatch.setattr(_kernels, "_lattice_mean_distances", counted)
+    _kernels._neutral_lattice.cache_clear()
+    for name in "aba":
+        manifest = {"a": manifest_a, "b": manifest_b}[name]
+        neutrals = manifest.vad[manifest.class_rows()["neutral"]]
+        clouds.clear()
+        assert fit_easv_model(manifest) == expected[name]
+        assert len(clouds) == 4  # the three classes and the neutral cloud
+        assert sum(np.array_equal(cloud, neutrals) for cloud in clouds) == 1
